@@ -12,6 +12,7 @@ with the default initial guesses and make runs look artificially easy.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import select
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .domain import BoundsSpec, denormalize
-from .rng import RngState, seed, uniform01
+from .rng import seed, uniform01
 
 CONCURRENT_SAFE = "concurrent_safe"
 SERIAL_ONLY = "serial_only"
@@ -71,6 +72,25 @@ class ObjectiveHandle:
             if not math.isfinite(value):
                 self._flagged += 1
         return value
+
+    def add_counts(self, evals: int, flagged: int) -> None:
+        """Count evaluations that a copy of this handle made elsewhere.
+
+        Worker processes evaluate on pickled copies; adding their counts
+        here keeps ``eval_count`` and ``flagged_count`` whole-run totals.
+        """
+        with self._lock:
+            self._count += evals
+            self._flagged += flagged
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_lock"]  # locks cannot be pickled; each copy gets its own
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     def close(self) -> None:  # overridden by worker-backed objectives
         pass
@@ -126,6 +146,76 @@ def _twin_valley_loci(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _point_noise(noise_key: int, x_norm: np.ndarray) -> float:
+    """Noise in [-0.1, 0.1) drawn from a stream keyed by the point's bytes.
+
+    The same point always gets the same noise, whatever order the trials
+    evaluate points in and in whichever process.
+    """
+    digest = hashlib.blake2b(np.ascontiguousarray(x_norm, dtype=float).tobytes(),
+                             digest_size=8).digest()
+    state = seed(noise_key, int.from_bytes(digest, "little"))
+    return 0.1 * (2.0 * uniform01(state) - 1.0)
+
+
+class BenchmarkFunction:
+    """A named benchmark over the unit cube, composed with denormalization.
+
+    Picklable (it holds only module-level functions and arrays), so handles
+    built on it can be sent to worker processes.  twin_valleys is defined
+    directly in normalized space; noisy_rastrigin adds a deterministic
+    per-point noise keyed by ``noise_seed``.
+    """
+
+    def __init__(self, name: str, bounds: BoundsSpec, noise_seed: int = 0):
+        self.bounds = bounds
+        self.loci = None
+        self.noise_key = None
+        if name == "twin_valleys":
+            self.loci = _twin_valley_loci(bounds.dim)
+            self.func = None
+            return
+        self.func, _, self.opt = _base_benchmark(name)
+        if name == "noisy_rastrigin":
+            self.noise_key = noise_seed ^ 0x6E6F6973
+
+    def known_optima(self) -> list[np.ndarray]:
+        """Normalized global minimizers that lie inside the bounds."""
+        if self.loci is not None:
+            return list(self.loci)
+        opt_user = np.full(self.bounds.dim, self.opt)
+        if np.all(opt_user >= self.bounds.lower) and np.all(
+                opt_user <= self.bounds.upper):
+            return [(opt_user - self.bounds.lower) / self.bounds.width]
+        return []
+
+    def __call__(self, x_norm: np.ndarray) -> float:
+        if self.loci is not None:
+            da = x_norm - self.loci[0]
+            db = x_norm - self.loci[1]
+            return float(min(np.dot(da, da), np.dot(db, db)))
+        value = self.func(denormalize(x_norm, self.bounds))
+        if self.noise_key is not None:
+            value += _point_noise(self.noise_key, x_norm)
+        return value
+
+
+def _base_benchmark(name: str) -> tuple:
+    """(function, half-width, optimum coordinate) behind a benchmark name."""
+    entry = _BENCHMARKS.get("rastrigin" if name == "noisy_rastrigin" else name)
+    if entry is None:
+        raise ValueError(f"unknown benchmark {name!r}; "
+                         f"choose from {BENCHMARK_NAMES}")
+    return entry
+
+
+def _benchmark_handle(name: str, bounds: BoundsSpec,
+                      noise_seed: int) -> ObjectiveHandle:
+    func = BenchmarkFunction(name, bounds, noise_seed)
+    return ObjectiveHandle(bounds.dim, func, bounds, name=name,
+                           known_optima=func.known_optima())
+
+
 def make_benchmark(name: str, dim: int, bounds_style: str = "conventional",
                    noise_seed: int = 0) -> ObjectiveHandle:
     """Build a named benchmark objective over the unit cube.
@@ -138,23 +228,9 @@ def make_benchmark(name: str, dim: int, bounds_style: str = "conventional",
         raise ValueError(f"dim {dim} too small for benchmark {name!r}")
     if bounds_style not in ("conventional", "offset"):
         raise ValueError(f"unknown bounds_style {bounds_style!r}")
-
     if name == "twin_valleys":
-        loci_a, loci_b = _twin_valley_loci(dim)
-
-        def twin_valleys(x):
-            da = x - loci_a
-            db = x - loci_b
-            return float(min(np.dot(da, da), np.dot(db, db)))
-
-        return ObjectiveHandle(dim, twin_valleys, BoundsSpec.unit(dim),
-                               name=name, known_optima=[loci_a, loci_b])
-
-    base_name = "rastrigin" if name == "noisy_rastrigin" else name
-    if base_name not in _BENCHMARKS:
-        raise ValueError(f"unknown benchmark {name!r}; "
-                         f"choose from {BENCHMARK_NAMES}")
-    func, half_width, opt = _BENCHMARKS[base_name]
+        return _benchmark_handle(name, BoundsSpec.unit(dim), noise_seed)
+    _, half_width, opt = _base_benchmark(name)
     if bounds_style == "conventional":
         lower = np.full(dim, -half_width)
         upper = np.full(dim, half_width)
@@ -162,31 +238,7 @@ def make_benchmark(name: str, dim: int, bounds_style: str = "conventional",
         width = 2.0 * half_width
         lower = np.full(dim, opt - _OFFSET_FRACTION * width)
         upper = lower + width
-    bounds = BoundsSpec(lower, upper)
-    if bounds_style == "conventional":
-        opt_norm = (opt + half_width) / (2.0 * half_width)
-    else:
-        opt_norm = _OFFSET_FRACTION
-    optimum = np.full(dim, opt_norm)
-
-    if name == "noisy_rastrigin":
-        noise_state = seed(noise_seed ^ 0x6E6F6973, 0)
-        lock = threading.Lock()
-
-        def noisy(x_norm):
-            x = denormalize(x_norm, bounds)
-            with lock:
-                noise = 0.1 * (2.0 * uniform01(noise_state) - 1.0)
-            return func(x) + noise
-
-        return ObjectiveHandle(dim, noisy, bounds, name=name,
-                               known_optima=[optimum])
-
-    def evaluate(x_norm, _f=func, _b=bounds):
-        return _f(denormalize(x_norm, _b))
-
-    return ObjectiveHandle(dim, evaluate, bounds, name=name,
-                           known_optima=[optimum])
+    return _benchmark_handle(name, BoundsSpec(lower, upper), noise_seed)
 
 
 def make_benchmark_with_bounds(name: str, dim: int, bounds: BoundsSpec,
@@ -201,34 +253,7 @@ def make_benchmark_with_bounds(name: str, dim: int, bounds: BoundsSpec,
         raise ValueError(f"bounds dim {bounds.dim} != dim {dim}")
     if name == "twin_valleys":
         return make_benchmark(name, dim)
-    base_name = "rastrigin" if name == "noisy_rastrigin" else name
-    if base_name not in _BENCHMARKS:
-        raise ValueError(f"unknown benchmark {name!r}; "
-                         f"choose from {BENCHMARK_NAMES}")
-    func, _, opt = _BENCHMARKS[base_name]
-    opt_user = np.full(dim, opt)
-    optima = []
-    if np.all(opt_user >= bounds.lower) and np.all(opt_user <= bounds.upper):
-        optima = [(opt_user - bounds.lower) / bounds.width]
-
-    if name == "noisy_rastrigin":
-        noise_state = seed(noise_seed ^ 0x6E6F6973, 0)
-        lock = threading.Lock()
-
-        def noisy(x_norm):
-            x = denormalize(x_norm, bounds)
-            with lock:
-                noise = 0.1 * (2.0 * uniform01(noise_state) - 1.0)
-            return func(x) + noise
-
-        return ObjectiveHandle(dim, noisy, bounds, name=name,
-                               known_optima=optima)
-
-    def evaluate(x_norm, _f=func, _b=bounds):
-        return _f(denormalize(x_norm, _b))
-
-    return ObjectiveHandle(dim, evaluate, bounds, name=name,
-                           known_optima=optima)
+    return _benchmark_handle(name, bounds, noise_seed)
 
 
 class _Worker:

@@ -6,19 +6,35 @@ derived from the master seed, seeds its stack from the current guess points,
 then runs the four stages under a fixed evaluation budget.  After each
 temperature step all trial stacks merge into one, whose positions become the
 guess points of the next, cooler step.
+
+With ``threads = N > 1`` up to N trials of a step run at once.  Built-in and
+other picklable in-process objectives run them in N worker processes (one
+pool per run, reused across steps); an unpicklable in-process objective,
+such as a lambda, fails fast with ``ValueError``.  Threads are used only for
+an :class:`ExternalObjective` with ``workers > 1``, whose evaluations wait
+on pipes that cannot cross processes.  Objectives marked serial-only run
+their trials in turn.
+
+``eval_index`` numbers evaluations in run order as if the trials had run in
+turn: a trial stamps its own evaluation count, and after each step every
+trial's entries are shifted by the evaluations of the steps before it and
+of the trials before it in stream order.  So the output never depends on
+scheduling, and ``threads = N`` reproduces ``threads = 1`` bit for bit.
 """
 
 from __future__ import annotations
 
+import pickle
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .domain import BoundsSpec
-from .objective import CONCURRENT_SAFE, ObjectiveHandle
+from .objective import CONCURRENT_SAFE, ExternalObjective, ObjectiveHandle
 from .rng import seed
 from .stages import STAGE_NAMES, STAGES, AlgorithmOptions, TrialContext
 from .swarm import (RatedPoint, Stack, StackMetrics, default_ema_alpha,
@@ -159,28 +175,81 @@ def run_trial(config: RunConfig, objective: ObjectiveHandle, temperature: float,
     return stack, records, ctx.insert_log or []
 
 
+def _run_trial_counted(config: RunConfig, objective: ObjectiveHandle,
+                       temperature: float, guess_points: Sequence[np.ndarray],
+                       stream_index: int):
+    """:func:`run_trial` in a worker process, which evaluates on its own copy
+    of the objective: also returns the evaluations and flags that copy
+    counted, for the caller's handle."""
+    evals, flagged = objective.eval_count, objective.flagged_count
+    result = run_trial(config, objective, temperature, guess_points,
+                       stream_index)
+    return (result, objective.eval_count - evals,
+            objective.flagged_count - flagged)
+
+
+def trial_pool(config: RunConfig, objective: ObjectiveHandle):
+    """The executor that runs a step's trials at once, or None for in turn.
+
+    Worker processes for in-process objectives, which must therefore
+    pickle; threads only for an :class:`ExternalObjective` with several
+    workers.  The caller shuts the executor down.
+    """
+    workers = min(config.threads, config.trials_per_temperature)
+    if workers < 2 or objective.concurrency_class != CONCURRENT_SAFE:
+        return None
+    if isinstance(objective, ExternalObjective):
+        from concurrent.futures import ThreadPoolExecutor
+        return ThreadPoolExecutor(max_workers=workers)
+    try:
+        pickle.dumps(objective)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise ValueError(
+            f"threads={config.threads} runs trials in worker processes, so "
+            f"the objective must be picklable: define its function at module "
+            f"level (not a lambda or nested function), or use threads=1"
+        ) from exc
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
+def _shift_eval_index(points: list[RatedPoint], offset: int) -> list[RatedPoint]:
+    return [RatedPoint(p.position, p.value, p.eval_index + offset)
+            for p in points]
+
+
 def run_temperature_step(config: RunConfig, objective: ObjectiveHandle,
                          temperature: float, guesses: Sequence[np.ndarray],
-                         base_stream: int,
+                         base_stream: int, pool=None, evals_before: int = 0,
                          ) -> tuple[Stack, list[StageRecord], list[RatedPoint]]:
-    """All trials of one temperature, merged into a single stack."""
-    indices = range(config.trials_per_temperature)
+    """All trials of one temperature, merged into a single stack.
 
-    def one(i: int):
-        return run_trial(config, objective, temperature, guesses,
-                         base_stream + i)
-
-    parallel = (config.threads > 1
-                and objective.concurrency_class == CONCURRENT_SAFE)
-    if parallel:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(one, indices))
+    ``pool`` (from :func:`trial_pool`) runs the trials at once; without it
+    they run in turn.  ``evals_before`` is the number of evaluations the
+    run made before this step.
+    """
+    one = partial(run_trial, config, objective, temperature, guesses)
+    streams = range(base_stream, base_stream + config.trials_per_temperature)
+    if pool is None:
+        results = [one(s) for s in streams]
+    elif isinstance(objective, ExternalObjective):
+        results = list(pool.map(one, streams))
     else:
-        results = [one(i) for i in indices]
+        results = []
+        for result, evals, flagged in pool.map(partial(
+                _run_trial_counted, config, objective, temperature, guesses),
+                streams):
+            objective.add_counts(evals, flagged)
+            results.append(result)
 
-    stacks = [r[0] for r in results]
-    records = [rec for r in results for rec in r[1]]
-    history = [p for r in results for p in r[2]]
+    offset = evals_before
+    stacks, records, history = [], [], []
+    for stack, trial_records, trial_history in results:
+        stack.entries = _shift_eval_index(stack.entries, offset)
+        history += _shift_eval_index(trial_history, offset)
+        stacks.append(stack)
+        records += trial_records
+        offset += sum(r.evals_used for r in trial_records)
     r_eq = config.options.equivalence_radius(temperature, config.dim)
     merged = merge_stacks(stacks, config.stack_capacity, r_eq)
     return merged, records, history
@@ -200,13 +269,16 @@ def run_optimization(config: RunConfig, objective: ObjectiveHandle,
     diagnostics = RunDiagnostics()
     guesses = initial_guesses(config.dim)
     stack: Optional[Stack] = None
-    for step_index, temperature in enumerate(config.temperatures):
-        base_stream = step_index * config.trials_per_temperature
-        stack, records, history = run_temperature_step(
-            config, objective, temperature, guesses, base_stream)
-        diagnostics.records.extend(records)
-        diagnostics.swarm_history.extend(history)
-        guesses = [entry.position for entry in stack.entries]
-    diagnostics.total_evaluations = objective.eval_count
+    pool = trial_pool(config, objective)
+    with pool or nullcontext():
+        for step_index, temperature in enumerate(config.temperatures):
+            base_stream = step_index * config.trials_per_temperature
+            stack, records, history = run_temperature_step(
+                config, objective, temperature, guesses, base_stream, pool,
+                diagnostics.recorded_evaluations())
+            diagnostics.records.extend(records)
+            diagnostics.swarm_history.extend(history)
+            guesses = [entry.position for entry in stack.entries]
+    diagnostics.total_evaluations = diagnostics.recorded_evaluations()
     diagnostics.elapsed_s = time.perf_counter() - started
     return stack, diagnostics

@@ -103,7 +103,9 @@ class TrialContext:
         return self.objective.evaluate(position)
 
     def rate(self, position: np.ndarray, value: float) -> RatedPoint:
-        return RatedPoint(position, value, self.objective.eval_count)
+        """Stamp with the trial's own evaluation count; the scheduler shifts
+        it into run order once the temperature step is done."""
+        return RatedPoint(position, value, self.eval_count)
 
     def offer(self, point: RatedPoint) -> InsertOutcome:
         outcome = self.stack.try_insert(point)

@@ -2,7 +2,9 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the PASS/FAIL line per
 criterion as it completes.  The end-to-end criteria (6, 7) run full
-optimizations over ten master seeds and take a few minutes.
+optimizations over ten master seeds and take a few minutes; they and the
+criteria built on the full default sphere run (1, 8) are marked ``slow``, so
+``pytest -m "not slow"`` skips them.
 """
 
 import math
@@ -53,6 +55,7 @@ def default_sphere_run():
     return config, handle, stack, diag
 
 
+@pytest.mark.slow
 def test_criterion_1_budget_arithmetic(default_sphere_run):
     config, handle, stack, diag = default_sphere_run
     nominal = 5 * 10 * 10_000
@@ -226,6 +229,7 @@ def test_criterion_5_linmin_battery():
                    f"caps respected: {within_cap}")
 
 
+@pytest.mark.slow
 def test_criterion_6_end_to_end():
     rastrigin_hits = 0
     rastrigin_errs = []
@@ -258,6 +262,7 @@ def test_criterion_6_end_to_end():
             f"{sphere_hits}/10 (worst {max(sphere_best):.2e})")
 
 
+@pytest.mark.slow
 def test_criterion_7_multimodality():
     hits = 0
     for seed in range(10):
@@ -275,6 +280,7 @@ def test_criterion_7_multimodality():
     verdict(7, hits >= 9, f"both valley optima held in stack in {hits}/10 runs")
 
 
+@pytest.mark.slow
 def test_criterion_8_determinism_and_monotonicity(default_sphere_run):
     def run_once():
         handle = make_benchmark("rastrigin", 3, bounds_style="offset")

@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 import textwrap
 
@@ -113,6 +114,32 @@ class TestBenchmarks:
         assert va == vb
         assert all(abs(x - y) <= 0.1 for x, y in zip(va, vc))
         assert any(x != y for x, y in zip(va, vc))
+
+    @pytest.mark.parametrize("name", obj.BENCHMARK_NAMES)
+    def test_pickle_round_trip_evaluates_identically(self, name):
+        dim = 4
+        bounds = BoundsSpec.from_pairs([(-3.0, 4.0)] * dim)
+        nrng = np.random.default_rng(3)
+        pts = [nrng.uniform(size=dim) for _ in range(20)]
+        for h in (obj.make_benchmark(name, dim, bounds_style="offset",
+                                     noise_seed=7),
+                  obj.make_benchmark_with_bounds(name, dim, bounds,
+                                                 noise_seed=7)):
+            copy = pickle.loads(pickle.dumps(h))
+            assert [copy.evaluate(p) for p in pts] == \
+                   [h.evaluate(p) for p in pts]
+            assert copy.eval_count == h.eval_count == len(pts)
+            for a, b in zip(copy.known_optima, h.known_optima):
+                assert np.array_equal(a, b)
+
+    def test_noisy_rastrigin_noise_is_a_function_of_the_point(self):
+        h = obj.make_benchmark("noisy_rastrigin", 3, noise_seed=5)
+        pts = [np.full(3, 0.1 * i) for i in range(1, 8)]
+        forward = [h.evaluate(p) for p in pts]
+        backward = [h.evaluate(p) for p in reversed(pts)]
+        assert forward == backward[::-1]
+        other = obj.make_benchmark("noisy_rastrigin", 3, noise_seed=6)
+        assert [other.evaluate(p) for p in pts] != forward
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):

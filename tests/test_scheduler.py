@@ -1,12 +1,24 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from swarmstack import scheduler as sch
 from swarmstack.domain import BoundsSpec
-from swarmstack.objective import ObjectiveHandle, make_benchmark
+from swarmstack.objective import (ObjectiveHandle, external_objective,
+                                  make_benchmark)
 from swarmstack.stages import AlgorithmOptions
+
+
+def nan_on_left_sphere(x):
+    """Sphere that is undefined on the left fifth of the cube."""
+    return math.nan if x[0] < 0.2 else float(np.dot(x, x))
+
+
+def rated(points):
+    return [(p.value, p.position.tobytes(), p.eval_index) for p in points]
 
 
 def small_config(handle, **overrides):
@@ -166,14 +178,89 @@ class TestRunOptimization:
 
         assert once() == once()
 
-    def test_threaded_matches_sequential_content(self):
-        def run(threads):
-            h = make_benchmark("ackley", 2, bounds_style="offset")
-            cfg = small_config(h, threads=threads)
-            stack, _ = sch.run_optimization(cfg, h)
-            return [(e.value, tuple(e.position)) for e in stack.entries]
+    def test_repeat_runs_on_one_handle_report_equal_totals(self):
+        h = make_benchmark("sphere", 2, bounds_style="offset")
+        cfg = small_config(h, temperatures=(1.0, 0.0))
+        _, first = sch.run_optimization(cfg, h)
+        _, second = sch.run_optimization(cfg, h)
+        assert first.total_evaluations == second.total_evaluations
+        assert first.total_evaluations == second.recorded_evaluations()
+        assert h.eval_count == 2 * first.total_evaluations
 
-        assert run(1) == run(4)
+    def test_threaded_matches_sequential_content(self):
+        def run(name, threads):
+            h = make_benchmark(name, 2, bounds_style="offset")
+            cfg = small_config(h, threads=threads, collect_history=True)
+            stack, diag = sch.run_optimization(cfg, h)
+            return (rated(stack.entries), rated(diag.swarm_history),
+                    diag.total_evaluations, h.eval_count)
+
+        for name in ("ackley", "noisy_rastrigin"):
+            serial = run(name, 1)
+            assert run(name, 2) == serial, name
+            assert run(name, 4) == serial, name
+
+    def test_threaded_counts_flagged_evaluations_of_workers(self):
+        def run(threads):
+            bounds = BoundsSpec.unit(2)
+            h = ObjectiveHandle(2, nan_on_left_sphere, bounds)
+            cfg = sch.RunConfig(dim=2, bounds=bounds, trials_per_temperature=2,
+                                evals_per_trial=400, stack_capacity=12,
+                                master_seed=5, temperatures=(1.0, 0.0),
+                                threads=threads)
+            _, diag = sch.run_optimization(cfg, h)
+            return h.eval_count, h.flagged_count, diag.total_evaluations
+
+        serial = run(1)
+        assert serial[1] > 0
+        assert run(2) == serial
+
+    def test_threads_with_unpicklable_objective_fail_fast(self):
+        bounds = BoundsSpec.unit(2)
+        h = ObjectiveHandle(2, lambda x: float(np.dot(x, x)), bounds)
+        cfg = small_config(h, threads=2)
+        with pytest.raises(ValueError, match="picklable"):
+            sch.run_optimization(cfg, h)
+        assert h.eval_count == 0
+
+    def test_external_worker_pool_runs_trials_in_threads(self, tmp_path,
+                                                         monkeypatch):
+        script = tmp_path / "w.py"
+        script.write_text("import sys\n"
+                          "for line in sys.stdin:\n"
+                          "    xs = [float(v) for v in line.split()]\n"
+                          "    print(repr(sum(x * x for x in xs)), flush=True)\n")
+        bounds = BoundsSpec.from_pairs([(-2.0, 3.0)] * 2)
+        threads_seen = []
+        original = sch.run_trial
+
+        def spy(*args):
+            threads_seen.append(threading.current_thread()
+                                is not threading.main_thread())
+            return original(*args)
+
+        monkeypatch.setattr(sch, "run_trial", spy)
+
+        def run(threads):
+            h = external_objective(f"{sys.executable} {script}", bounds,
+                                   timeout=10.0, workers=2)
+            try:
+                cfg = sch.RunConfig(dim=2, bounds=bounds,
+                                    trials_per_temperature=2,
+                                    evals_per_trial=200, stack_capacity=12,
+                                    master_seed=8, temperatures=(1.0, 0.0),
+                                    threads=threads, collect_history=True)
+                stack, diag = sch.run_optimization(cfg, h)
+                return (rated(stack.entries), rated(diag.swarm_history),
+                        h.eval_count)
+            finally:
+                h.close()
+
+        serial = run(1)
+        assert not any(threads_seen)
+        threads_seen.clear()
+        assert run(2) == serial
+        assert threads_seen and all(threads_seen)
 
     def test_constant_objective_fills_stack_distinctly(self):
         bounds = BoundsSpec.unit(2)
