@@ -9,6 +9,7 @@ Example:
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from swarmstack import distributions as D
 from swarmstack import rng as R
+from swarmstack.stages import AlgorithmOptions, recombine_rate
 
 
 def dump(path, draws, pdf, lo, hi, bins=120):
@@ -58,7 +60,7 @@ def main(argv=None):
     dump(out / "notch_twin_peaks.tsv", draws,
          lambda x: D.notch_twin_peaks_pdf(x, notch, lo, hi), lo, hi)
 
-    ft = D.fat_tail3_for_temperature(t)
+    ft = AlgorithmOptions().fat_tail3_params(t)
     state = R.seed(args.seed, 2)
     center = 0.3
     draws = np.array([D.sample_fat_tail3(state, ft, center, 0.0, 1.0)
@@ -68,8 +70,6 @@ def main(argv=None):
     dump(out / "fat_tail3.tsv", draws,
          lambda x: D.fat_tail3_pdf(x - center, ft) / mass, 0.0, 1.0)
 
-    import math
-    from swarmstack.stages import recombine_rate
     rate = recombine_rate(t)
     state = R.seed(args.seed, 3)
     draws = np.array([R.bounded_exponential(state, rate, 0.0, 1.0)

@@ -15,6 +15,8 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -55,7 +57,11 @@ def _parse_bounds(text: str) -> list[tuple[float, float]]:
 
 @dataclass
 class CliConfig:
-    """Everything the command layer needs to build and run one optimization."""
+    """Everything the command layer needs to build and run one optimization.
+
+    The search stages' knobs live in ``options``; each of its fields is a key
+    too (see :func:`config_key`).
+    """
 
     dim: int = 2
     bounds: list[tuple[float, float]] | None = None
@@ -69,59 +75,54 @@ class CliConfig:
     evals_per_trial: int = 10_000
     stack_capacity: int = 120
     seed: int = 0
-    tol: float = 1e-4
     threads: int = 1
     out_dir: str = "swarmstack_out"
     emit_projections: bool = False
     projection_planes: str = "0-1"
-    linmin_on_improvement: bool = True
-    mutation_prob: float = 0.25
-    notch_exponent: float = 1.0 / 6.0
-    fat_tail3_c1: float = 15.0
-    fat_tail3_c2: float = 4.0
-    fat_tail3_c3: float = 1.0
-    fat_tail3_k1: float = 10.0
-    fat_tail3_k2: float = 50.0
-    fat_tail3_s_divisor: float = 20.0
-    r_eq_base: float = 0.01
-    r_eq_slope: float = 0.09
-    recombine_ratio_high_t: float = 2.0
-    recombine_ratio_low_t: float = 5.0
+    options: AlgorithmOptions = AlgorithmOptions()
 
 
-# config-file / flag key -> (dataclass field, converter)
-CONFIG_KEYS = {
-    "dim": ("dim", int),
-    "bounds": ("bounds", _parse_bounds),
-    "function": ("function", str),
-    "bounds_style": ("bounds_style", str),
-    "external_cmd": ("external_cmd", str),
-    "timeout": ("timeout", float),
-    "workers": ("workers", int),
-    "temperatures": ("temperatures", _parse_floats),
-    "trials": ("trials", int),
-    "evals_per_trial": ("evals_per_trial", int),
-    "stack_capacity": ("stack_capacity", int),
-    "seed": ("seed", int),
-    "tol": ("tol", float),
-    "threads": ("threads", int),
-    "out_dir": ("out_dir", str),
-    "emit_projections": ("emit_projections", _parse_bool),
-    "projection_planes": ("projection_planes", str),
-    "linmin_on_improvement": ("linmin_on_improvement", _parse_bool),
-    "mutation_prob": ("mutation_prob", float),
-    "notch_exponent": ("notch_exponent", float),
-    "fatTail3.c1": ("fat_tail3_c1", float),
-    "fatTail3.c2": ("fat_tail3_c2", float),
-    "fatTail3.c3": ("fat_tail3_c3", float),
-    "fatTail3.k1": ("fat_tail3_k1", float),
-    "fatTail3.k2": ("fat_tail3_k2", float),
-    "fatTail3.s_divisor": ("fat_tail3_s_divisor", float),
-    "r_eq.base": ("r_eq_base", float),
-    "r_eq.slope": ("r_eq_slope", float),
-    "recombine.ratio_high_t": ("recombine_ratio_high_t", float),
-    "recombine.ratio_low_t": ("recombine_ratio_low_t", float),
-}
+_CONVERTERS = {int: int, float: float, str: str, bool: _parse_bool,
+               tuple[float, ...]: _parse_floats,
+               list[tuple[float, float]]: _parse_bounds}
+_DOTTED_PREFIXES = {"fat_tail3_": "fatTail3.", "r_eq_": "r_eq.",
+                    "recombine_": "recombine."}
+
+
+def config_key(field_name: str) -> str:
+    """Config-file key and flag name of a ``CliConfig`` or options field."""
+    if field_name == "linmin_tol":
+        return "tol"
+    for prefix, dotted in _DOTTED_PREFIXES.items():
+        if field_name.startswith(prefix):
+            return dotted + field_name[len(prefix):]
+    return field_name
+
+
+def _key_table() -> dict:
+    table = {}
+    for cls, in_options in ((CliConfig, False), (AlgorithmOptions, True)):
+        for name, hint in get_type_hints(cls).items():
+            if name == "options":
+                continue
+            if isinstance(hint, UnionType):  # "X | None": convert to X
+                hint, = (a for a in get_args(hint) if a is not type(None))
+            table[config_key(name)] = (name, _CONVERTERS[hint], in_options)
+    return table
+
+
+# config-file / flag key -> (field, converter, whether the field is an option)
+CONFIG_KEYS = _key_table()
+
+
+def _with_value(config: CliConfig, key: str, value) -> CliConfig:
+    attr, convert, in_options = CONFIG_KEYS[key]
+    if isinstance(value, str):
+        value = convert(value)
+    if in_options:
+        return replace(config,
+                       options=replace(config.options, **{attr: value}))
+    return replace(config, **{attr: value})
 
 
 def parse_config(file_path: str | None,
@@ -143,53 +144,36 @@ def parse_config(file_path: str | None,
             key = key.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{file_path}:{lineno}: unknown key {key!r}")
-            attr, convert = CONFIG_KEYS[key]
             try:
-                config = replace(config, **{attr: convert(value.strip())})
+                config = _with_value(config, key, value.strip())
             except ValueError as exc:
                 raise ValueError(f"{file_path}:{lineno}: bad value for "
                                  f"{key!r}: {exc}") from exc
     for key, value in (flag_overrides or {}).items():
         if key not in CONFIG_KEYS:
             raise ValueError(f"unknown key {key!r}")
-        attr, convert = CONFIG_KEYS[key]
-        if isinstance(value, str):
-            value = convert(value)
-        config = replace(config, **{attr: value})
+        config = _with_value(config, key, value)
     return config
 
 
 def build_run(config: CliConfig) -> tuple[RunConfig, ObjectiveHandle]:
     """Materialize the objective handle and the run configuration."""
-    options = AlgorithmOptions(
-        linmin_on_improvement=config.linmin_on_improvement,
-        linmin_tol=config.tol,
-        notch_exponent=config.notch_exponent,
-        mutation_prob=config.mutation_prob,
-        recombine_ratio_high_t=config.recombine_ratio_high_t,
-        recombine_ratio_low_t=config.recombine_ratio_low_t,
-        fat_tail3_c=(config.fat_tail3_c1, config.fat_tail3_c2,
-                     config.fat_tail3_c3),
-        fat_tail3_k=(config.fat_tail3_k1, config.fat_tail3_k2),
-        fat_tail3_s_divisor=config.fat_tail3_s_divisor,
-        r_eq_base=config.r_eq_base,
-        r_eq_slope=config.r_eq_slope,
-    )
-    if config.external_cmd:
-        if config.bounds is None:
-            raise ValueError("external_cmd requires explicit bounds")
+    bounds = None
+    if config.bounds is not None:
         pairs = config.bounds
-        if len(pairs) == 1 and config.dim > 1:
+        if len(pairs) == 1:
             pairs = pairs * config.dim
+        if len(pairs) != config.dim:
+            raise ValueError(f"bounds lists {len(config.bounds)} pairs; "
+                             f"need 1 or dim = {config.dim}")
         bounds = BoundsSpec.from_pairs(pairs)
+    if config.external_cmd:
+        if bounds is None:
+            raise ValueError("external_cmd requires explicit bounds")
         handle = external_objective(config.external_cmd, bounds,
                                     timeout=config.timeout,
                                     workers=config.workers)
-    elif config.bounds is not None:
-        pairs = config.bounds
-        if len(pairs) == 1 and config.dim > 1:
-            pairs = pairs * config.dim
-        bounds = BoundsSpec.from_pairs(pairs)
+    elif bounds is not None:
         handle = make_benchmark_with_bounds(config.function, config.dim,
                                             bounds, noise_seed=config.seed)
     else:
@@ -202,8 +186,8 @@ def build_run(config: CliConfig) -> tuple[RunConfig, ObjectiveHandle]:
         trials_per_temperature=config.trials,
         evals_per_trial=config.evals_per_trial,
         stack_capacity=config.stack_capacity,
-        master_seed=config.seed, threads=config.threads, options=options,
-        collect_history=config.emit_projections)
+        master_seed=config.seed, threads=config.threads,
+        options=config.options, collect_history=config.emit_projections)
     return run_config, handle
 
 
@@ -225,21 +209,6 @@ def write_stack_csv(stack: Stack, bounds: BoundsSpec, path: Path) -> None:
                  + [repr(float(v)) for v in user])
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
-
-
-def read_stack_csv(path: Path, capacity: int, r_eq: float,
-                   ) -> tuple[Stack, BoundsSpec | None]:
-    """Parse a stack table back; inverse of :func:`write_stack_csv`."""
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    dim = sum(1 for h in header if h.startswith("x"))
-    stack = Stack(capacity, r_eq)
-    for line in lines[1:]:
-        cells = line.split(",")
-        position = np.array([float(v) for v in cells[2:2 + dim]])
-        stack.entries.append(RatedPoint(position, float(cells[1]),
-                                        int(cells[0])))
-    return stack, None
 
 
 def write_diagnostics_jsonl(diag: RunDiagnostics, path: Path) -> None:

@@ -96,11 +96,6 @@ class FatTail3Params:
             raise ValueError(f"s must be > 0, got {self.s}")
 
 
-def fat_tail3_for_temperature(t: float) -> FatTail3Params:
-    """Default mutation distribution: core sd is the step scale shrunk 20x."""
-    return FatTail3Params(s=scale_for_temperature(t) / 20.0)
-
-
 def _mixture(p) -> list[tuple[float, float, float]]:
     """(weight, mean, sd) triples of a parameter bundle's components."""
     if isinstance(p, TwinPeaksParams):

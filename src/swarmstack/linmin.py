@@ -67,11 +67,15 @@ class _LineProbe:
 
 
 def _parabola_vertex(a, fa, m, fm, b, fb):
-    """Vertex abscissa of the parabola through three points, or None."""
+    """Vertex abscissa of the parabola through three points, or None.
+
+    None also when a value is infinite (the probe's stand-in for a
+    non-finite objective): the vertex is then undefined.
+    """
     d1 = (m - a) * (fm - fb)
     d2 = (m - b) * (fm - fa)
     denom = 2.0 * (d1 - d2)
-    if denom == 0.0:
+    if denom == 0.0 or not math.isfinite(denom):
         return None
     num = (m - a) * d1 - (m - b) * d2
     return m - num / denom
@@ -150,35 +154,6 @@ def _golden_interval(probe: _LineProbe, lo, hi, flo, fhi, tol):
             c, fc = d, fd
             d = lo + _GOLDEN * (hi - lo)
             fd = probe(d)
-
-
-def refine_bracket(objective_1d, a, m, b, tol, eval_cap):
-    """Public bracketed refinement: needs f(m) <= f(a) and f(m) <= f(b).
-
-    Returns (t, f) of the refined minimum.  The three bracket values are
-    evaluated here and count against eval_cap.
-    """
-    if not a < m < b:
-        raise ValueError(f"invalid bracket: need a < m < b, got {a}, {m}, {b}")
-
-    class _Probe:
-        def __init__(self):
-            self.used = 0
-
-        def remaining(self):
-            return eval_cap - self.used
-
-        def __call__(self, t):
-            self.used += 1
-            return float(objective_1d(t))
-
-    probe = _Probe()
-    fa, fm, fb = probe(a), probe(m), probe(b)
-    if fm > fa or fm > fb:
-        raise ValueError("invalid bracket: f(m) must not exceed f(a), f(b)")
-    if (b - a) < tol:
-        return m, fm
-    return _refine_bracket(probe, a, m, b, fa, fm, fb, tol)
 
 
 def minimize_on_line(objective, seg: LineSegment, tol: float = DEFAULT_TOL,

@@ -251,8 +251,6 @@ def make_benchmark_with_bounds(name: str, dim: int, bounds: BoundsSpec,
     """
     if bounds.dim != dim:
         raise ValueError(f"bounds dim {bounds.dim} != dim {dim}")
-    if name == "twin_valleys":
-        return make_benchmark(name, dim)
     return _benchmark_handle(name, bounds, noise_seed)
 
 

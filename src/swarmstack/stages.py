@@ -30,39 +30,43 @@ from .distributions import (FatTail3Params, NotchParams, TwinPeaksParams,
                             scale_for_temperature)
 from .domain import LineSegment, d1_distance, line_domain, point_on_line, \
     random_unit_direction
-from .linmin import minimize_on_line
+from .linmin import DEFAULT_TOL, minimize_on_line
 from .objective import ObjectiveHandle
 from .rng import RngState, bounded_exponential, randint_below, truncated_gamma, \
     uniform01
 from .swarm import InsertOutcome, RatedPoint, Stack
 
 _DEGENERATE_SPAN = 1e-12
+DIRECTION_HISTORY_CAPACITY = 64  # proximal directions remembered per trial
+DIRECTION_COS_TOL = 0.999  # |cos| at or above which a direction is stale
+ATTRACTOR_RETRY_CAP = 5  # line minimizations per proximal query point
 
 
 @dataclass(frozen=True)
 class AlgorithmOptions:
-    """Tunable knobs of the search stages (defaults match the shipped setup)."""
+    """Tunable knobs of the search stages (defaults match the shipped setup).
+
+    Every field is also a configuration key and command-line flag of the CLI,
+    which derives its key table from this declaration.
+    """
 
     linmin_on_improvement: bool = True
-    linmin_tol: float = 1e-4
-    linmin_eval_cap: int = 60
-    linmin_n_scan: int = 12
-    linmin_k_refine: int = 2
+    linmin_tol: float = DEFAULT_TOL
     notch_exponent: float = 1.0 / 6.0
     mutation_prob: float = 0.25
     # endpoint density ratios of the parent-selection distribution
     recombine_ratio_high_t: float = 2.0
     recombine_ratio_low_t: float = 5.0
     # fat-tail mutation mixture
-    fat_tail3_c: tuple[float, float, float] = (15.0, 4.0, 1.0)
-    fat_tail3_k: tuple[float, float] = (10.0, 50.0)
+    fat_tail3_c1: float = 15.0
+    fat_tail3_c2: float = 4.0
+    fat_tail3_c3: float = 1.0
+    fat_tail3_k1: float = 10.0
+    fat_tail3_k2: float = 50.0
     fat_tail3_s_divisor: float = 20.0
     # equivalence radius schedule: dim * (base + slope * T)
     r_eq_base: float = 0.01
     r_eq_slope: float = 0.09
-    direction_history_capacity: int = 64
-    direction_cos_tol: float = 0.999
-    attractor_retry_cap: int = 5
 
     def equivalence_radius(self, t: float, dim: int) -> float:
         return dim * (self.r_eq_base + self.r_eq_slope * t)
@@ -72,9 +76,9 @@ class AlgorithmOptions:
                            self.notch_exponent)
 
     def fat_tail3_params(self, t: float) -> FatTail3Params:
-        c1, c2, c3 = self.fat_tail3_c
-        k1, k2 = self.fat_tail3_k
-        return FatTail3Params(c1=c1, c2=c2, c3=c3, k1=k1, k2=k2,
+        return FatTail3Params(c1=self.fat_tail3_c1, c2=self.fat_tail3_c2,
+                              c3=self.fat_tail3_c3, k1=self.fat_tail3_k1,
+                              k2=self.fat_tail3_k2,
                               s=scale_for_temperature(t) / self.fat_tail3_s_divisor)
 
 
@@ -90,13 +94,9 @@ class TrialContext:
     stage_budgets: tuple[int, int, int, int]
     options: AlgorithmOptions = AlgorithmOptions()
     eval_count: int = 0
-    direction_history: deque = field(default_factory=deque)
+    direction_history: deque = field(
+        default_factory=lambda: deque(maxlen=DIRECTION_HISTORY_CAPACITY))
     insert_log: Optional[list] = None
-
-    def __post_init__(self):
-        if not self.direction_history.maxlen:
-            self.direction_history = deque(
-                maxlen=self.options.direction_history_capacity)
 
     def evaluate(self, position: np.ndarray) -> float:
         self.eval_count += 1
@@ -146,10 +146,8 @@ def run_swarm_search(ctx: TrialContext, budget: Optional[int] = None) -> TrialCo
             if (f_cand < origin.value and opts.linmin_on_improvement
                     and math.isfinite(f_cand)):
                 res = minimize_on_line(
-                    ctx.evaluate, seg, tol=opts.linmin_tol,
-                    eval_cap=opts.linmin_eval_cap, f0=origin.value,
-                    known_points=((t, f_cand),), n_scan=opts.linmin_n_scan,
-                    k_refine=opts.linmin_k_refine)
+                    ctx.evaluate, seg, tol=opts.linmin_tol, f0=origin.value,
+                    known_points=((t, f_cand),))
                 used += res.evals_used
                 ctx.offer(ctx.rate(point_on_line(seg, res.t_best), res.f_best))
             else:
@@ -296,7 +294,7 @@ def run_proximal(ctx: TrialContext, budget: Optional[int] = None) -> TrialContex
             ranked.sort(key=lambda r: r[:3])
             tries = 0
             for _, _, _, attractor in ranked:
-                if tries >= opts.attractor_retry_cap or used >= budget:
+                if tries >= ATTRACTOR_RETRY_CAP or used >= budget:
                     break
                 delta = attractor.position - query.position
                 norm = float(np.sqrt(delta @ delta))
@@ -304,14 +302,12 @@ def run_proximal(ctx: TrialContext, budget: Optional[int] = None) -> TrialContex
                     continue
                 direction = delta / norm
                 if not direction_is_new(ctx.direction_history, direction,
-                                        opts.direction_cos_tol):
+                                        DIRECTION_COS_TOL):
                     continue
                 tries += 1
                 seg = LineSegment.through(query.position, direction)
-                res = minimize_on_line(
-                    ctx.evaluate, seg, tol=opts.linmin_tol,
-                    eval_cap=opts.linmin_eval_cap, f0=query.value,
-                    n_scan=opts.linmin_n_scan, k_refine=opts.linmin_k_refine)
+                res = minimize_on_line(ctx.evaluate, seg, tol=opts.linmin_tol,
+                                       f0=query.value)
                 used += res.evals_used
                 ctx.offer(ctx.rate(point_on_line(seg, res.t_best), res.f_best))
                 if res.f_best < query.value:
@@ -366,10 +362,7 @@ def run_axes(ctx: TrialContext, budget: Optional[int] = None) -> TrialContext:
                     seg = LineSegment(origin.position, direction, lo, hi)
                     res = minimize_on_line(
                         ctx.evaluate, seg, tol=opts.linmin_tol,
-                        eval_cap=opts.linmin_eval_cap, f0=origin.value,
-                        known_points=((t, f_cand),),
-                        n_scan=opts.linmin_n_scan,
-                        k_refine=opts.linmin_k_refine)
+                        f0=origin.value, known_points=((t, f_cand),))
                     used += res.evals_used
                     ctx.offer(ctx.rate(point_on_line(seg, res.t_best),
                                        res.f_best))

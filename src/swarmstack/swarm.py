@@ -18,13 +18,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-def equivalence_radius(t: float, dim: int) -> float:
-    """D1 equivalence radius at temperature t: dim * (0.01 + 0.09 * t)."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"temperature must be in [0, 1], got {t}")
-    return dim * (0.01 + 0.09 * t)
-
-
 @dataclass(frozen=True, eq=False)
 class RatedPoint:
     """A normalized-space position with its objective value.
@@ -46,9 +39,6 @@ class InsertOutcome(enum.Enum):
     REPLACED_EQUIVALENT = "replaced_equivalent"
     REJECTED_EQUIVALENT = "rejected_equivalent"
     REJECTED_FULL = "rejected_full"
-    # Listed for interface completeness: the current policy folds the
-    # "worse than everything, stack full" case into REJECTED_FULL.
-    REJECTED_WORSE = "rejected_worse"
     REJECTED_NONFINITE = "rejected_nonfinite"
 
 
@@ -238,18 +228,3 @@ def merge_stacks(stacks: Iterable[Stack], capacity: int, r_eq: float) -> Stack:
         merged.try_insert(entry)
     return merged
 
-
-def stack_to_rows(stack: Stack) -> list[tuple[int, float, list[float]]]:
-    """Row-oriented view (rank, value, coordinates), best first."""
-    return [(rank, e.value, e.position.tolist())
-            for rank, e in enumerate(stack.entries)]
-
-
-def rows_to_stack(rows, capacity: int, r_eq: float) -> Stack:
-    """Rebuild a stack from serialized rows (positions taken verbatim)."""
-    stack = Stack(capacity, r_eq)
-    for rank, value, coords in rows:
-        stack.entries.append(RatedPoint(np.asarray(coords, dtype=float),
-                                        float(value), int(rank)))
-    stack._positions = None
-    return stack

@@ -20,7 +20,7 @@ from swarmstack import rng as R
 from swarmstack import stages as S
 from swarmstack import swarm as sw
 from swarmstack.domain import BoundsSpec, LineSegment
-from swarmstack.linmin import minimize_on_line
+from swarmstack.linmin import DEFAULT_EVAL_CAP, minimize_on_line
 from swarmstack.objective import make_benchmark, make_benchmark_with_bounds
 from swarmstack.scheduler import RunConfig, allocate_budget, run_optimization
 from swarmstack.swarm import RatedPoint, Stack
@@ -66,7 +66,7 @@ def test_criterion_1_budget_arithmetic(default_sphere_run):
           and diag.recorded_evaluations() == total)
     # actual per-stage spend: nominal share, plus at most one line
     # minimization of overshoot
-    cap = config.options.linmin_eval_cap
+    cap = DEFAULT_EVAL_CAP
     per_stage = defaultdict(dict)
     for r in diag.records:
         per_stage[(r.temperature, r.trial_index)][r.stage] = r.evals_used
@@ -114,7 +114,7 @@ def test_criterion_3_distribution_laws():
         -1.0, 1.0)))
     notch_zero = D.notch_twin_peaks_pdf(0.0, notch, -1.0, 1.0)
 
-    ft = D.fat_tail3_for_temperature(1.0)
+    ft = S.AlgorithmOptions().fat_tail3_params(1.0)
     state = R.seed(9001, 2)
     draws = np.array([D.sample_fat_tail3(state, ft, 0.3, 0.0, 1.0)
                       for _ in range(n)])

@@ -5,7 +5,17 @@ import numpy as np
 import pytest
 
 from swarmstack import cli
+from swarmstack.stages import AlgorithmOptions
 from swarmstack.swarm import RatedPoint
+
+README_KEYS = {
+    "dim", "bounds", "function", "bounds_style", "external_cmd", "timeout",
+    "workers", "temperatures", "trials", "evals_per_trial", "stack_capacity",
+    "seed", "tol", "threads", "out_dir", "emit_projections",
+    "projection_planes", "linmin_on_improvement", "mutation_prob",
+    "notch_exponent", "fatTail3.c1", "fatTail3.c2", "fatTail3.c3",
+    "fatTail3.k1", "fatTail3.k2", "fatTail3.s_divisor", "r_eq.base",
+    "r_eq.slope", "recombine.ratio_high_t", "recombine.ratio_low_t"}
 
 
 class TestParseConfig:
@@ -17,7 +27,7 @@ class TestParseConfig:
         assert c.trials == 10
         assert c.evals_per_trial == 10_000
         assert c.stack_capacity == 120
-        assert c.tol == 1e-4
+        assert c.options.linmin_tol == 1e-4
 
     def test_values_and_overrides(self, tmp_path):
         f = tmp_path / "run.cfg"
@@ -51,9 +61,67 @@ class TestParseConfig:
         f.write_text("fatTail3.c1 = 12\nr_eq.slope = 0.08\n"
                      "recombine.ratio_low_t = 4\n")
         c = cli.parse_config(str(f))
-        assert c.fat_tail3_c1 == 12.0
-        assert c.r_eq_slope == 0.08
-        assert c.recombine_ratio_low_t == 4.0
+        assert c.options.fat_tail3_c1 == 12.0
+        assert c.options.r_eq_slope == 0.08
+        assert c.options.recombine_ratio_low_t == 4.0
+
+    def test_recognized_keys_match_readme(self):
+        assert len(cli.CONFIG_KEYS) == 30
+        assert set(cli.CONFIG_KEYS) == README_KEYS
+
+    def test_every_option_is_a_key(self):
+        import dataclasses
+        fields = {cli.config_key(f.name)
+                  for f in dataclasses.fields(AlgorithmOptions)}
+        assert fields <= set(cli.CONFIG_KEYS)
+        assert cli.config_key("linmin_tol") == "tol"
+        assert cli.config_key("fat_tail3_s_divisor") == "fatTail3.s_divisor"
+
+    def test_flags_convert_by_field_type(self):
+        c = cli.parse_config(None, {
+            "linmin_on_improvement": "off", "tol": "1e-6", "dim": "3",
+            "fatTail3.k2": "40", "temperatures": "1 0.5 0",
+            "bounds": "0:1, 2:3", "external_cmd": "cat"})
+        assert c.options.linmin_on_improvement is False
+        assert c.options.linmin_tol == 1e-6
+        assert c.options.fat_tail3_k2 == 40.0
+        assert c.dim == 3
+        assert c.temperatures == (1.0, 0.5, 0.0)
+        assert c.bounds == [(0.0, 1.0), (2.0, 3.0)]
+        assert c.external_cmd == "cat"
+        assert c.options.notch_exponent == AlgorithmOptions().notch_exponent
+
+
+class TestBuildRun:
+    def test_defaults_reach_run_config(self):
+        run_config, handle = cli.build_run(cli.parse_config(None, {}))
+        assert run_config.options == AlgorithmOptions()
+        assert run_config.temperatures == (1.0, 0.75, 0.5, 0.25, 0.0)
+        assert run_config.trials_per_temperature == 10
+        assert run_config.evals_per_trial == 10_000
+        assert run_config.stack_capacity == 120
+        assert run_config.threads == 1
+        assert run_config.dim == handle.dim == 2
+
+    def test_options_pass_through(self):
+        run_config, _ = cli.build_run(cli.parse_config(
+            None, {"fatTail3.c1": "12", "tol": "1e-5"}))
+        assert run_config.options == AlgorithmOptions(fat_tail3_c1=12.0,
+                                                      linmin_tol=1e-5)
+
+    def test_one_bounds_pair_broadcasts(self):
+        run_config, handle = cli.build_run(cli.parse_config(
+            None, {"dim": "3", "bounds": "-2:5"}))
+        assert run_config.dim == handle.dim == 3
+        assert np.array_equal(handle.bounds.lower, [-2.0] * 3)
+        assert np.array_equal(handle.bounds.upper, [5.0] * 3)
+
+    @pytest.mark.parametrize("extra", [{}, {"external_cmd": "cat"}])
+    def test_bounds_count_must_be_one_or_dim(self, extra):
+        cfg = cli.parse_config(None, dict(extra, dim="2",
+                                          bounds="0:1, 0:1, 0:1"))
+        with pytest.raises(ValueError, match="bounds"):
+            cli.build_run(cfg)
 
 
 TINY = {"dim": "2", "function": "sphere", "bounds_style": "offset",
@@ -102,12 +170,30 @@ class TestRunCommand:
         stack, diag = run_optimization(run_config, handle)
         cli.write_stack_csv(stack, handle.bounds, out.mkdir(parents=True)
                             or out / "stack.csv")
-        back, _ = cli.read_stack_csv(out / "stack.csv", stack.capacity,
-                                     stack.r_eq)
-        assert [e.value for e in back.entries] == \
+        lines = (out / "stack.csv").read_text().splitlines()
+        dim = run_config.dim
+        assert lines[0].split(",") == (["rank", "value"]
+                                       + [f"x{i}" for i in range(dim)]
+                                       + [f"u{i}" for i in range(dim)])
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == list(range(len(stack.entries)))
+        assert [float(r[1]) for r in rows] == \
                [e.value for e in stack.entries]
-        for a, b in zip(back.entries, stack.entries):
-            assert np.array_equal(a.position, b.position)
+        for r, e in zip(rows, stack.entries):
+            assert np.array_equal([float(v) for v in r[2:2 + dim]],
+                                  e.position)
+
+    def test_twin_valleys_honours_custom_bounds(self, tmp_path):
+        out = tmp_path / "o"
+        cfg = cli.parse_config(None, dict(
+            TINY, function="twin_valleys", bounds="0:10", out_dir=str(out)))
+        assert cli.run_command(cfg) == 0
+        lines = (out / "stack.csv").read_text().splitlines()
+        for line in lines[1:]:
+            cells = [float(v) for v in line.split(",")]
+            x, u = cells[2:4], cells[4:6]
+            assert all(0.0 <= v <= 10.0 for v in u)
+            assert u == pytest.approx([10.0 * v for v in x])
 
     def test_main_with_config_file_and_flags(self, tmp_path, capsys):
         f = tmp_path / "run.cfg"

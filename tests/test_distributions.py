@@ -8,6 +8,7 @@ from scipy import integrate, stats
 from helpers import chi_square_vs_pdf, ks_2samp_pvalue
 from swarmstack import distributions as D
 from swarmstack import rng as R
+from swarmstack.stages import AlgorithmOptions
 
 
 def scalar_gauss(x, m, s):
@@ -169,7 +170,7 @@ class TestFatTail3:
         assert D.fat_tail3_pdf(x, p) > 10.0 * core
 
     def test_normalizes_to_one(self):
-        p = D.fat_tail3_for_temperature(0.5)
+        p = AlgorithmOptions().fat_tail3_params(0.5)
         total = integrate.quad(lambda x: D.fat_tail3_pdf(x, p),
                                -60 * p.s * p.k2, 60 * p.s * p.k2, limit=500)[0]
         assert total == pytest.approx(1.0, abs=1e-4)
@@ -185,7 +186,7 @@ class TestSampleFatTail3:
     def test_mass_concentrates_near_center(self):
         # nominal core weight is 0.75; overlap of the wider components and
         # truncation to [0, 1] lift the observed +-3s fraction toward ~0.83
-        ft = D.fat_tail3_for_temperature(1.0)
+        ft = AlgorithmOptions().fat_tail3_params(1.0)
         st_ = R.seed(36, 0)
         draws = np.array([D.sample_fat_tail3(st_, ft, 0.3, 0.0, 1.0)
                           for _ in range(100_000)])
@@ -194,7 +195,7 @@ class TestSampleFatTail3:
         assert 0.65 < frac < 0.92
 
     def test_truncated_matches_pdf(self):
-        ft = D.fat_tail3_for_temperature(1.0)
+        ft = AlgorithmOptions().fat_tail3_params(1.0)
         st_ = R.seed(36, 0)
         draws = np.array([D.sample_fat_tail3(st_, ft, 0.3, 0.0, 1.0)
                           for _ in range(100_000)])
@@ -214,6 +215,6 @@ class TestSampleFatTail3:
     @settings(max_examples=60, deadline=None)
     def test_always_inside_bounds(self, center, seed_val):
         st_ = R.seed(seed_val, 3)
-        x = D.sample_fat_tail3(st_, D.fat_tail3_for_temperature(0.25),
+        x = D.sample_fat_tail3(st_, AlgorithmOptions().fat_tail3_params(0.25),
                                center, 0.0, 1.0)
         assert 0.0 <= x <= 1.0

@@ -102,6 +102,18 @@ class TestBenchmarks:
         assert abs(fa - fb) < 1e-12
         assert fa == pytest.approx(0.0, abs=1e-15)
 
+    def test_twin_valleys_keeps_custom_bounds(self):
+        bounds = BoundsSpec.from_pairs([(0.0, 10.0), (-5.0, 5.0)])
+        h = obj.make_benchmark_with_bounds("twin_valleys", 2, bounds)
+        assert np.array_equal(h.bounds.lower, bounds.lower)
+        assert np.array_equal(h.bounds.upper, bounds.upper)
+        unit = obj.make_benchmark("twin_valleys", 2)
+        nrng = np.random.default_rng(2)
+        for p in [nrng.uniform(size=2) for _ in range(10)]:
+            assert h.evaluate(p) == unit.evaluate(p)
+        for a, b in zip(h.known_optima, unit.known_optima):
+            assert np.array_equal(a, b)
+
     def test_noisy_rastrigin_bounded_noise_and_seeded(self):
         a = obj.make_benchmark("noisy_rastrigin", 3, noise_seed=5)
         b = obj.make_benchmark("noisy_rastrigin", 3, noise_seed=5)

@@ -1,12 +1,14 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from swarmstack import scheduler as sch
 from swarmstack.domain import BoundsSpec
+from swarmstack.linmin import DEFAULT_EVAL_CAP
 from swarmstack.objective import (ObjectiveHandle, external_objective,
                                   make_benchmark)
 from swarmstack.stages import AlgorithmOptions
@@ -91,7 +93,7 @@ class TestRunTrial:
         h = make_benchmark("sphere", 3, bounds_style="offset")
         cfg = small_config(h)
         stack, records, _ = sch.run_trial(cfg, h, 1.0, sch.initial_guesses(3), 0)
-        cap = cfg.options.linmin_eval_cap
+        cap = DEFAULT_EVAL_CAP
         for rec, budget in zip(records, sch.allocate_budget(cfg.evals_per_trial)):
             assert budget <= rec.evals_used <= budget + cap
         assert h.eval_count <= cfg.evals_per_trial + 4 * cap
@@ -150,7 +152,7 @@ class TestRunOptimization:
         nominal = (len(cfg.temperatures) * cfg.trials_per_temperature
                    * cfg.evals_per_trial)
         overshoot = (len(cfg.temperatures) * cfg.trials_per_temperature
-                     * 4 * cfg.options.linmin_eval_cap)
+                     * 4 * DEFAULT_EVAL_CAP)
         assert nominal <= diag.total_evaluations <= nominal + overshoot
 
     def test_best_trajectory_non_increasing_across_steps(self):
@@ -214,6 +216,17 @@ class TestRunOptimization:
         serial = run(1)
         assert serial[1] > 0
         assert run(2) == serial
+
+    def test_nonfinite_objective_raises_no_runtime_warnings(self):
+        bounds = BoundsSpec.unit(2)
+        h = ObjectiveHandle(2, nan_on_left_sphere, bounds)
+        cfg = sch.RunConfig(dim=2, bounds=bounds, trials_per_temperature=2,
+                            evals_per_trial=400, stack_capacity=12,
+                            master_seed=5, temperatures=(1.0, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sch.run_optimization(cfg, h)
+        assert h.flagged_count > 0
 
     def test_threads_with_unpicklable_objective_fail_fast(self):
         bounds = BoundsSpec.unit(2)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from swarmstack import rng as R
 from swarmstack import stages as S
 from swarmstack.domain import BoundsSpec
+from swarmstack.linmin import DEFAULT_EVAL_CAP
 from swarmstack.objective import ObjectiveHandle
 from swarmstack.swarm import RatedPoint, Stack
 
@@ -92,7 +93,7 @@ class TestSwarmSearch:
         seeds = ctx.eval_count
         budget = 100
         S.run_swarm_search(ctx, budget)
-        assert ctx.eval_count - seeds <= budget + opts.linmin_eval_cap
+        assert ctx.eval_count - seeds <= budget + DEFAULT_EVAL_CAP
 
 
 class TestRecombineRate:
@@ -394,7 +395,7 @@ class TestStageContracts:
         before = ctx.eval_count
         budget = 120
         stage(ctx, budget)
-        assert ctx.eval_count - before <= budget + opts.linmin_eval_cap
+        assert ctx.eval_count - before <= budget + DEFAULT_EVAL_CAP
         assert ctx.stack.best.value <= best_before
         ctx.stack.check_invariants()
         for e in ctx.stack.entries:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import BruteForceStack
 from swarmstack import swarm as sw
+from swarmstack.stages import AlgorithmOptions
 from swarmstack.swarm import InsertOutcome, RatedPoint, Stack
 
 
@@ -15,11 +16,13 @@ def rp(coords, value, idx=0):
 
 class TestEquivalenceRadius:
     def test_reference_values(self):
-        assert sw.equivalence_radius(1.0, 11) == pytest.approx(1.1)
-        assert sw.equivalence_radius(0.0, 11) == pytest.approx(0.11)
+        r_eq = AlgorithmOptions().equivalence_radius
+        assert r_eq(1.0, 11) == pytest.approx(1.1)
+        assert r_eq(0.0, 11) == pytest.approx(0.11)
 
     def test_monotone_in_temperature(self):
-        radii = [sw.equivalence_radius(t, 5) for t in (0.0, 0.3, 0.8, 1.0)]
+        radii = [AlgorithmOptions().equivalence_radius(t, 5)
+                 for t in (0.0, 0.3, 0.8, 1.0)]
         assert radii == sorted(radii)
         assert radii[0] < radii[-1]
 
@@ -267,15 +270,3 @@ class TestMergeStacks:
         global_best = min(s.best.value for s in stacks)
         assert merged.best.value == global_best
         merged.check_invariants()
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        s = Stack(capacity=4, r_eq=0.1)
-        s.try_insert(rp([0.12345678901234567, 0.5], 1.0, 0))
-        s.try_insert(rp([0.9, 0.9], 2.0, 1))
-        rows = sw.stack_to_rows(s)
-        back = sw.rows_to_stack(rows, capacity=4, r_eq=0.1)
-        assert [e.value for e in back.entries] == [e.value for e in s.entries]
-        for a, b in zip(back.entries, s.entries):
-            assert np.array_equal(a.position, b.position)
