@@ -1,9 +1,10 @@
-"""Parameter-space geometry: unit-cube normalization, norms, line segments.
+"""Parameter-space geometry: unit cube, random directions, line segments.
 
 The optimizer works exclusively in the normalized unit hypercube; user-unit
 hyper-block bounds are mapped in and out at the objective boundary.  Distances
 between candidate solutions use the D1 (Manhattan) norm, which favors keeping
-points that differ in many coordinates over points that differ in one.
+points that differ in many coordinates over points that differ in one; the
+stack computes them (``Stack.d1_distances``).
 """
 
 from __future__ import annotations
@@ -78,13 +79,6 @@ def denormalize(point: np.ndarray, bounds: BoundsSpec) -> np.ndarray:
     if bad.size:
         raise ValueError(f"parameter {bad[0]} value {x[bad[0]]} outside [0, 1]")
     return bounds.lower + x * bounds.width
-
-
-def d1_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Manhattan distance."""
-    if a.shape != b.shape:
-        raise ValueError(f"dim mismatch: {a.shape} vs {b.shape}")
-    return float(np.abs(a - b).sum())
 
 
 def random_unit_direction(state: RngState, dim: int) -> np.ndarray:

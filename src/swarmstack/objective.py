@@ -176,6 +176,10 @@ class BenchmarkFunction:
             self.func = None
             return
         self.func, _, self.opt = _base_benchmark(name)
+        if name == "rosenbrock" and bounds.dim < 2:
+            # its sum runs over coordinate pairs: at dim 1 it is a flat zero
+            raise ValueError(
+                f"dim {bounds.dim} too small for benchmark {name!r}")
         if name == "noisy_rastrigin":
             self.noise_key = noise_seed ^ 0x6E6F6973
 
@@ -224,7 +228,7 @@ def make_benchmark(name: str, dim: int, bounds_style: str = "conventional",
     keeps the domain width but shifts it so the optimum lands at normalized
     coordinate 0.37 on every axis.
     """
-    if dim < 1 or (name == "rosenbrock" and dim < 2):
+    if dim < 1:
         raise ValueError(f"dim {dim} too small for benchmark {name!r}")
     if bounds_style not in ("conventional", "offset"):
         raise ValueError(f"unknown bounds_style {bounds_style!r}")

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammainc
-
 _M32 = 0xFFFFFFFF
 _M64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -217,6 +215,55 @@ def _gamma_unbounded(state: RngState, shape: float) -> float:
 
 _GAMMA_RETRY_CAP = 64
 _BISECT_STEPS = 200
+_INCGAMMA_TERMS = 1000
+_INCGAMMA_EPS = 1e-16
+_LENTZ_TINY = 1e-300
+
+
+def regularized_lower_gamma(a: float, x: float) -> float:
+    """Regularized lower incomplete gamma P(a, x), the Gamma(a, 1) CDF at x.
+
+    A power series where it converges fast (x < a + 1) and a continued
+    fraction for the upper function, by the modified Lentz method, beyond.
+    """
+    if a <= 0.0:
+        raise ValueError(f"shape must be > 0, got {a}")
+    if x <= 0.0:
+        return 0.0
+    if math.isinf(x):
+        return 1.0
+    prefactor = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        # P = x^a e^-x / Gamma(a) * sum_n x^n / (a (a+1) ... (a+n))
+        term = total = 1.0 / a
+        denom = a
+        for _ in range(_INCGAMMA_TERMS):
+            denom += 1.0
+            term *= x / denom
+            total += term
+            if term < total * _INCGAMMA_EPS:
+                break
+        return total * prefactor
+    # Q = x^a e^-x / Gamma(a) * 1/(x+1-a- 1(1-a)/(x+3-a- 2(2-a)/(x+5-a- ...)))
+    b = x + 1.0 - a
+    c = 1.0 / _LENTZ_TINY
+    d = 1.0 / b
+    frac = d
+    for i in range(1, _INCGAMMA_TERMS):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _LENTZ_TINY:
+            d = _LENTZ_TINY
+        c = b + an / c
+        if abs(c) < _LENTZ_TINY:
+            c = _LENTZ_TINY
+        d = 1.0 / d
+        step = d * c
+        frac *= step
+        if abs(step - 1.0) < _INCGAMMA_EPS:
+            break
+    return 1.0 - prefactor * frac
 
 
 def truncated_gamma(state: RngState, shape: float, scale: float,
@@ -237,13 +284,13 @@ def truncated_gamma(state: RngState, shape: float, scale: float,
             return g
     # Deterministic fallback: invert the regularized incomplete gamma
     # restricted to [lo, hi] by bisection.
-    f_lo = float(gammainc(shape, lo / scale))
-    f_hi = 1.0 if math.isinf(hi) else float(gammainc(shape, hi / scale))
+    f_lo = regularized_lower_gamma(shape, lo / scale)
+    f_hi = regularized_lower_gamma(shape, hi / scale)
     target = f_lo + uniform01(state) * (f_hi - f_lo)
     a, b = lo, hi if not math.isinf(hi) else scale * (shape + 40.0)
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (a + b)
-        if float(gammainc(shape, mid / scale)) < target:
+        if regularized_lower_gamma(shape, mid / scale) < target:
             a = mid
         else:
             b = mid

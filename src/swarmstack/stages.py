@@ -28,7 +28,7 @@ import numpy as np
 from .distributions import (FatTail3Params, NotchParams, TwinPeaksParams,
                             sample_fat_tail3, sample_notch_twin_peaks,
                             scale_for_temperature)
-from .domain import LineSegment, d1_distance, line_domain, point_on_line, \
+from .domain import LineSegment, line_domain, point_on_line, \
     random_unit_direction
 from .linmin import DEFAULT_TOL, minimize_on_line
 from .objective import ObjectiveHandle
@@ -40,6 +40,10 @@ _DEGENERATE_SPAN = 1e-12
 DIRECTION_HISTORY_CAPACITY = 64  # proximal directions remembered per trial
 DIRECTION_COS_TOL = 0.999  # |cos| at or above which a direction is stale
 ATTRACTOR_RETRY_CAP = 5  # line minimizations per proximal query point
+# |cos| above DIRECTION_COS_TOL by which a batched check may reject a
+# direction on its own: rounding errors are some 1e-15, so a direction the
+# exact scalar check would accept is never rejected
+_STALE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -260,6 +264,20 @@ def direction_is_new(history: deque, u: np.ndarray, cos_tol: float) -> bool:
     return True
 
 
+def _stale_rows(directions: np.ndarray, history: deque) -> np.ndarray:
+    """Rows of ``directions`` that are collinear with a remembered direction.
+
+    One matrix product in place of a scalar check per row and history entry.
+    A row is marked only when its |cos| clears the tolerance by a margin far
+    above rounding error, so a mark is a sure rejection; every unmarked row
+    still goes through :func:`direction_is_new`, which alone decides.
+    """
+    if not history:
+        return np.zeros(len(directions), dtype=bool)
+    cos = np.abs(directions @ np.array(history).T).max(axis=1)
+    return cos >= DIRECTION_COS_TOL + _STALE_MARGIN
+
+
 def run_proximal(ctx: TrialContext, budget: Optional[int] = None) -> TrialContext:
     """Stage three: line-minimize from worse points toward attractive ones.
 
@@ -267,6 +285,11 @@ def run_proximal(ctx: TrialContext, budget: Optional[int] = None) -> TrialContex
     visibility range, ranks all other entries by attractiveness and line
     minimizes toward the best-ranked ones whose directions were not tried
     recently, stopping at the first improvement (or after the retry cap).
+
+    Per query the directions to all entries and their |cos| against the
+    direction history come from one matrix operation; attractors whose
+    direction is surely stale are skipped without a scalar check, and a
+    query with no other attractor left is not ranked at all.
     """
     if budget is None:
         budget = ctx.stage_budgets[2]
@@ -279,23 +302,37 @@ def run_proximal(ctx: TrialContext, budget: Optional[int] = None) -> TrialContex
         for query in reversed(list(ctx.stack.entries)):
             if used >= budget:
                 break
-            if not any(entry is query for entry in ctx.stack.entries):
+            entries = list(ctx.stack.entries)
+            qi = next((i for i, e in enumerate(entries) if e is query), None)
+            if qi is None:
                 continue  # evicted by an earlier insertion this cycle
             big_d = sample_characteristic_distance(ctx.rng, ctx.dim)
+            # ctx.offer may change the stack during the walk below; the
+            # stack then builds a new positions matrix, so this one stays
+            # the snapshot that ``entries`` was taken from.
+            positions = ctx.stack.positions_matrix()
+            deltas = positions - query.position
+            norms = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
+            norms[norms < _DEGENERATE_SPAN] = np.inf  # left to the exact path
+            directions = deltas / norms[:, None]
+            stale = _stale_rows(directions, ctx.direction_history)
+            stale[qi] = True
+            if stale.all():
+                continue
             f_worst = ctx.stack.worst.value
-            ranked = []
-            for other in ctx.stack.entries:
-                if other is query:
-                    continue
-                attr = attractiveness(f_worst - other.value,
-                                      d1_distance(query.position, other.position),
-                                      big_d, ctx.temperature)
-                ranked.append((-attr, other.value, other.eval_index, other))
-            ranked.sort(key=lambda r: r[:3])
+            d1 = ctx.stack.d1_distances(query.position).tolist()
+            ranked = sorted(
+                (i for i in range(len(entries)) if i != qi),
+                key=lambda i: (-attractiveness(f_worst - entries[i].value,
+                                               d1[i], big_d, ctx.temperature),
+                               entries[i].value, entries[i].eval_index))
             tries = 0
-            for _, _, _, attractor in ranked:
+            for i in ranked:
                 if tries >= ATTRACTOR_RETRY_CAP or used >= budget:
                     break
+                if stale[i]:
+                    continue
+                attractor = entries[i]
                 delta = attractor.position - query.position
                 norm = float(np.sqrt(delta @ delta))
                 if norm < 1e-12:
@@ -304,6 +341,9 @@ def run_proximal(ctx: TrialContext, budget: Optional[int] = None) -> TrialContex
                 if not direction_is_new(ctx.direction_history, direction,
                                         DIRECTION_COS_TOL):
                     continue
+                # the history gained this direction and may have evicted
+                # its oldest one, which can free an attractor marked stale
+                stale = _stale_rows(directions, ctx.direction_history)
                 tries += 1
                 seg = LineSegment.through(query.position, direction)
                 res = minimize_on_line(ctx.evaluate, seg, tol=opts.linmin_tol,

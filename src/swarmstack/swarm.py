@@ -67,15 +67,30 @@ class Stack:
         return self.entries[-1]
 
     def positions_matrix(self) -> np.ndarray:
+        """Entry positions as rows, in stack order.
+
+        A change to the stack replaces this array instead of writing into
+        it, so a caller may keep a returned matrix as a snapshot.
+        """
         if self._positions is None:
             self._positions = np.array([e.position for e in self.entries])
         return self._positions
 
-    def _equivalent_indices(self, position: np.ndarray) -> list[int]:
+    def d1_distances(self, position: np.ndarray) -> np.ndarray:
+        """D1 (Manhattan) distance from ``position`` to every entry, in order.
+
+        Each row sums exactly as ``np.abs(a - b).sum()`` does for one pair.
+        """
         if not self.entries:
-            return []
-        d1 = np.abs(self.positions_matrix() - position).sum(axis=1)
-        return np.nonzero(d1 < self.r_eq)[0].tolist()
+            return np.empty(0)
+        positions = self.positions_matrix()
+        if position.shape != positions.shape[1:]:
+            raise ValueError(f"dim mismatch: {position.shape} vs "
+                             f"{positions.shape[1:]}")
+        return np.abs(positions - position).sum(axis=1)
+
+    def _equivalent_indices(self, position: np.ndarray) -> list[int]:
+        return np.nonzero(self.d1_distances(position) < self.r_eq)[0].tolist()
 
     def _insert_sorted(self, candidate: RatedPoint) -> None:
         key = candidate.sort_key()

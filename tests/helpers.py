@@ -6,6 +6,12 @@ import numpy as np
 from scipy import integrate, stats
 from scipy.optimize import brentq
 
+from swarmstack.domain import LineSegment, point_on_line
+from swarmstack.stages import (ATTRACTOR_RETRY_CAP, DIRECTION_COS_TOL,
+                               attractiveness, direction_is_new,
+                               minimize_on_line,
+                               sample_characteristic_distance)
+
 
 def chi_square_vs_pdf(samples, pdf, lo, hi, bins=100, min_expected=5.0):
     """Chi-square p-value of a sample histogram against an analytic pdf.
@@ -79,3 +85,57 @@ class BruteForceStack:
         self.items.sort(key=lambda it: (it[0], it[1]))
         if len(self.items) > self.capacity:
             self.items.pop()
+
+
+def reference_run_proximal(ctx, budget):
+    """The proximal stage as one scalar loop per attractor (oracle).
+
+    Ranks with one D1 distance per pair and checks every candidate direction
+    against the history one entry at a time; the stage must make the same
+    decisions, draws and insertions as this loop.
+    """
+    if len(ctx.stack.entries) < 2:
+        return ctx
+    used = 0
+    while used < budget:
+        cycle_start = used
+        for query in reversed(list(ctx.stack.entries)):
+            if used >= budget:
+                break
+            if not any(entry is query for entry in ctx.stack.entries):
+                continue
+            big_d = sample_characteristic_distance(ctx.rng, ctx.dim)
+            f_worst = ctx.stack.worst.value
+            ranked = []
+            for other in ctx.stack.entries:
+                if other is query:
+                    continue
+                d1 = float(np.abs(query.position - other.position).sum())
+                attr = attractiveness(f_worst - other.value, d1, big_d,
+                                      ctx.temperature)
+                ranked.append((-attr, other.value, other.eval_index, other))
+            ranked.sort(key=lambda r: r[:3])
+            tries = 0
+            for _, _, _, attractor in ranked:
+                if tries >= ATTRACTOR_RETRY_CAP or used >= budget:
+                    break
+                delta = attractor.position - query.position
+                norm = float(np.sqrt(delta @ delta))
+                if norm < 1e-12:
+                    continue
+                direction = delta / norm
+                if not direction_is_new(ctx.direction_history, direction,
+                                        DIRECTION_COS_TOL):
+                    continue
+                tries += 1
+                seg = LineSegment.through(query.position, direction)
+                res = minimize_on_line(ctx.evaluate, seg,
+                                       tol=ctx.options.linmin_tol,
+                                       f0=query.value)
+                used += res.evals_used
+                ctx.offer(ctx.rate(point_on_line(seg, res.t_best), res.f_best))
+                if res.f_best < query.value:
+                    break
+        if used == cycle_start:
+            break
+    return ctx

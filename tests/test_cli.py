@@ -206,6 +206,17 @@ class TestRunCommand:
         assert "best value" in out
         assert (tmp_path / "out" / "stack.csv").is_file()
 
+    def test_rosenbrock_dim_1_with_bounds_fails(self, tmp_path, capsys):
+        # its sum over coordinate pairs is empty at dim 1: a flat zero
+        rc = cli.main(["--function", "rosenbrock", "--dim", "1",
+                       "--bounds=-2:2", "--trials", "1",
+                       "--evals_per_trial", "150",
+                       "--out_dir", str(tmp_path / "out")])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert "too small for benchmark 'rosenbrock'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_main_unknown_key_fails(self, tmp_path, capsys):
         f = tmp_path / "run.cfg"
         f.write_text("nonsense = 4\n")

@@ -64,31 +64,6 @@ class TestNormalize:
             assert np.all(np.abs(back - x) <= np.spacing(np.abs(x)))
 
 
-class TestD1Distance:
-    def test_reference_values(self):
-        o = np.zeros(3)
-        assert dom.d1_distance(o, np.array([0.0, 0.0, 1.0])) == 1.0
-        assert dom.d1_distance(o, np.array([1.0, 1.0, 1.0])) == 3.0
-
-    def test_identity(self):
-        a = np.array([0.3, 0.7])
-        assert dom.d1_distance(a, a) == 0.0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            dom.d1_distance(np.zeros(2), np.zeros(3))
-
-    @given(st.lists(st.floats(-1, 1), min_size=3, max_size=3),
-           st.lists(st.floats(-1, 1), min_size=3, max_size=3),
-           st.lists(st.floats(-1, 1), min_size=3, max_size=3))
-    def test_metric_axioms(self, a, b, c):
-        a, b, c = np.array(a), np.array(b), np.array(c)
-        assert dom.d1_distance(a, b) >= 0.0
-        assert dom.d1_distance(a, b) == pytest.approx(dom.d1_distance(b, a))
-        assert dom.d1_distance(a, c) <= (dom.d1_distance(a, b)
-                                         + dom.d1_distance(b, c) + 1e-12)
-
-
 class TestRandomUnitDirection:
     def test_unit_norm(self):
         s = R.seed(41, 0)

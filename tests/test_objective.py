@@ -158,6 +158,9 @@ class TestBenchmarks:
             obj.make_benchmark("nope", 3)
         with pytest.raises(ValueError):
             obj.make_benchmark("rosenbrock", 1)
+        with pytest.raises(ValueError, match="too small"):
+            obj.make_benchmark_with_bounds(
+                "rosenbrock", 1, BoundsSpec.from_pairs([(-2.0, 2.0)]))
 
 
 WORKER_SPHERE = textwrap.dedent("""\

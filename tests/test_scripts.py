@@ -42,3 +42,18 @@ def test_export_distribution_tables_writes_tsvs(tmp_path):
         assert lines[0] == "x\tpdf\thist_density"
         assert len(lines) == 121
         assert all(len(line.split("\t")) == 3 for line in lines[1:])
+
+
+def test_stack_digest_is_repeatable_and_thread_independent(tmp_path):
+    # the cases run two trials, so --threads 2 runs them in a process pool
+    args = ("--evals_per_trial", "300")
+    first = run_script("stack_digest.py", *args, cwd=tmp_path).stdout
+    again = run_script("stack_digest.py", *args, cwd=tmp_path).stdout
+    threads1 = run_script("stack_digest.py", *args, "--threads", "1",
+                          cwd=tmp_path).stdout
+    threads2 = run_script("stack_digest.py", *args, "--threads", "2",
+                          cwd=tmp_path).stdout
+    lines = first.splitlines()
+    assert len(lines) == 5
+    assert all(len(line.split()[1]) == 64 for line in lines)
+    assert first == again == threads1 == threads2

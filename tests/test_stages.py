@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import reference_run_proximal
 from swarmstack import rng as R
 from swarmstack import stages as S
 from swarmstack.domain import BoundsSpec
 from swarmstack.linmin import DEFAULT_EVAL_CAP
-from swarmstack.objective import ObjectiveHandle
+from swarmstack.objective import ObjectiveHandle, make_benchmark
 from swarmstack.swarm import RatedPoint, Stack
 
 
@@ -325,6 +326,104 @@ class TestRunProximal:
         before = ctx.eval_count
         S.run_proximal(ctx, 50)
         assert ctx.eval_count == before
+
+
+def full_proximal_ctx(dim, temperature, history_kind):
+    """A trial context with a full 120-entry stack on offset Rastrigin and
+    a direction history that is empty, full of random directions, or full
+    of directions whose |cos| to the first query's candidates lies within
+    about 1e-13 of the tolerance."""
+    handle = make_benchmark("rastrigin", dim, bounds_style="offset")
+    ctx = S.TrialContext(stack=Stack(120, 1e-3 * dim),
+                         rng=R.seed(150 + dim, 0), temperature=temperature,
+                         dim=dim, objective=handle,
+                         stage_budgets=(0, 0, 400, 0))
+    gen = np.random.default_rng(dim)
+    while len(ctx.stack) < 120:
+        x = gen.random(dim)
+        ctx.offer(ctx.rate(x, ctx.evaluate(x)))
+    if history_kind == "full":
+        for v in gen.standard_normal((S.DIRECTION_HISTORY_CAPACITY, dim)):
+            ctx.direction_history.append(v / math.sqrt(v @ v))
+    elif history_kind == "near":
+        query = ctx.stack.worst
+        targets = ctx.stack.entries[:S.DIRECTION_HISTORY_CAPACITY]
+        for k, entry in enumerate(targets):
+            delta = entry.position - query.position
+            u = delta / math.sqrt(delta @ delta)
+            c = 1.0
+            w = np.zeros(dim)
+            if dim > 1:
+                c = S.DIRECTION_COS_TOL + (-1e-13, 0.0, 1e-13)[k % 3]
+                w = gen.standard_normal(dim)
+                w -= (w @ u) * u
+                w /= math.sqrt(w @ w)
+            ctx.direction_history.append(c * u + math.sqrt(1.0 - c * c) * w)
+    return ctx
+
+
+class TestProximalMatchesScalarReference:
+    @pytest.mark.parametrize("history_kind", ["empty", "full", "near"])
+    @pytest.mark.parametrize("temperature", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 11])
+    def test_same_decisions(self, dim, temperature, history_kind):
+        def outcome(stage):
+            ctx = full_proximal_ctx(dim, temperature, history_kind)
+            stage(ctx, 400)
+            return (ctx.eval_count, ctx.rng,
+                    [(e.value, e.position.tobytes(), e.eval_index)
+                     for e in ctx.stack.entries],
+                    [h.tobytes() for h in ctx.direction_history])
+
+        assert outcome(S.run_proximal) == outcome(reference_run_proximal)
+
+
+class TestStaleFilter:
+    def test_marks_only_rows_clear_of_the_tolerance(self):
+        u = np.array([0.6, 0.8])
+        rows = np.array([u, -u, [0.8, -0.6]])
+        assert S._stale_rows(rows, deque()).tolist() == [False] * 3
+        assert S._stale_rows(rows, deque([u])).tolist() == [True, True, False]
+
+    def test_history_eviction_frees_a_stale_attractor(self):
+        # A flat objective ranks attractors by eval_index and never
+        # improves, so the first query tries both attractors in turn.  Its
+        # second attractor is stale only through the oldest remembered
+        # direction, which accepting the first attractor evicts.
+        def outcome(stage):
+            h = ObjectiveHandle(2, lambda x: 1.0, BoundsSpec.unit(2))
+            ctx = make_ctx(h, 125, 0.5, capacity=3,
+                           guesses=[(0.2, 0.3), (0.8, 0.4), (0.5, 0.9)])
+            query, second = ctx.stack.entries[2], ctx.stack.entries[1]
+            delta = second.position - query.position
+            ctx.direction_history.append(delta / math.sqrt(delta @ delta))
+            ctx.direction_history.extend(
+                [np.array([1.0, 1.0]) / math.sqrt(2.0)]
+                * (S.DIRECTION_HISTORY_CAPACITY - 1))
+            stage(ctx, 200)
+            return ctx.eval_count, [h.tobytes() for h in ctx.direction_history]
+
+        assert outcome(S.run_proximal) == outcome(reference_run_proximal)
+
+    @pytest.mark.parametrize("offset,accepted",
+                             [(-5e-13, True), (5e-13, False)])
+    def test_cos_within_1e_12_of_tolerance_is_decided_by_scalar_check(
+            self, offset, accepted):
+        h = unit_sphere(0.37, 2)
+        ctx = make_ctx(h, 124, 0.5, capacity=2,
+                       guesses=[(0.1, 0.2), (0.9, 0.7)])
+        delta = ctx.stack.best.position - ctx.stack.worst.position
+        u = delta / float(np.sqrt(delta @ delta))
+        c = S.DIRECTION_COS_TOL + offset
+        remembered = c * u + math.sqrt(1.0 - c * c) * np.array([-u[1], u[0]])
+        cos = abs(float(np.dot(u, remembered)))
+        assert abs(cos - S.DIRECTION_COS_TOL) <= 1e-12
+        assert (cos < S.DIRECTION_COS_TOL) == accepted
+        assert not S._stale_rows(u[None, :], deque([remembered]))[0]
+        ctx.direction_history.append(remembered)
+        before = ctx.eval_count
+        S.run_proximal(ctx, 80)
+        assert (ctx.eval_count > before) == accepted
 
 
 class TestRunAxes:

@@ -27,6 +27,52 @@ class TestEquivalenceRadius:
         assert radii[0] < radii[-1]
 
 
+def stack_of(*points):
+    s = Stack(capacity=len(points), r_eq=0.0)
+    for i, p in enumerate(points):
+        s.try_insert(rp(p, 0.0, i))
+    return s
+
+
+class TestD1Distances:
+    def test_reference_values(self):
+        s = stack_of([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
+        assert s.d1_distances(np.zeros(3)).tolist() == [1.0, 3.0]
+
+    def test_identity(self):
+        a = np.array([0.3, 0.7])
+        assert stack_of(a).d1_distances(a).tolist() == [0.0]
+
+    def test_dim_mismatch(self):
+        with pytest.raises(ValueError):
+            stack_of(np.zeros(2)).d1_distances(np.zeros(3))
+        with pytest.raises(ValueError):
+            stack_of(np.zeros(1)).d1_distances(np.zeros(3))
+
+    def test_empty_stack(self):
+        assert Stack(capacity=2, r_eq=0.1).d1_distances(np.zeros(2)).size == 0
+
+    @given(st.lists(st.floats(-1, 1), min_size=3, max_size=3),
+           st.lists(st.floats(-1, 1), min_size=3, max_size=3),
+           st.lists(st.floats(-1, 1), min_size=3, max_size=3))
+    def test_metric_axioms(self, a, b, c):
+        a, b, c = np.array(a), np.array(b), np.array(c)
+        ab, ac = stack_of(b, c).d1_distances(a).tolist()
+        ba, bc = stack_of(a, c).d1_distances(b).tolist()
+        assert ab >= 0.0
+        assert ab == pytest.approx(ba)
+        assert ac <= ab + bc + 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 11, 17])
+    def test_rows_sum_like_one_pair(self, dim):
+        # the proximal stage ranks on these; they must not move by an ulp
+        gen = np.random.default_rng(dim)
+        s = stack_of(*gen.random((120, dim)))
+        x = gen.random(dim)
+        assert s.d1_distances(x).tolist() == [
+            float(np.abs(e.position - x).sum()) for e in s.entries]
+
+
 class TestTryInsert:
     def test_empty_stack_accepts(self):
         s = Stack(capacity=4, r_eq=0.1)
