@@ -317,8 +317,9 @@ def run_command(config: CliConfig) -> int:
     print(f"best value: {best.value:.10g}")
     print("best point (user units): "
           + " ".join(f"{v:.10g}" for v in best_user))
+    flagged = diag.flagged_evaluations
     print(f"total evaluations: {diag.total_evaluations}"
-          + (f" ({handle.flagged_count} flagged)" if handle.flagged_count else ""))
+          + (f" ({flagged} flagged)" if flagged else ""))
     print(f"elapsed: {elapsed:.2f}s")
     print(f"outputs in: {out_dir}")
     return 0

@@ -1,8 +1,9 @@
 """Objective evaluation contract, benchmark functions and external workers.
 
 An :class:`ObjectiveHandle` owns the mapping from normalized points to
-objective values, counts every evaluation (the cost unit of the optimizer)
-and declares whether it may be called from concurrent trials.
+objective values and turns a result that is not a number into NaN.  It
+keeps no state between calls: the trial that calls it counts evaluations,
+the cost unit of the optimizer, and the non-finite ones among them.
 
 The benchmark factory builds classic test functions composed with the
 denormalization from the unit cube.  ``bounds_style="offset"`` shifts each
@@ -25,72 +26,31 @@ import numpy as np
 from .domain import BoundsSpec, denormalize
 from .rng import seed, uniform01
 
-CONCURRENT_SAFE = "concurrent_safe"
-SERIAL_ONLY = "serial_only"
-
 # Normalized position of the optimum under "offset" bounds: away from the
 # diagonal guess coordinates 0.25 / 0.5 / 0.75.
 _OFFSET_FRACTION = 0.37
 
 
 class ObjectiveHandle:
-    """Callable objective over normalized space with exact evaluation counting."""
+    """Callable objective over normalized space; a non-number becomes NaN."""
 
     def __init__(self, dim: int, func: Callable[[np.ndarray], float],
-                 bounds: BoundsSpec, concurrency_class: str = CONCURRENT_SAFE,
-                 name: str = "objective", known_optima: Sequence[np.ndarray] = ()):
+                 bounds: BoundsSpec, name: str = "objective",
+                 known_optima: Sequence[np.ndarray] = ()):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        if concurrency_class not in (CONCURRENT_SAFE, SERIAL_ONLY):
-            raise ValueError(f"unknown concurrency class {concurrency_class}")
         self.dim = dim
         self.bounds = bounds
-        self.concurrency_class = concurrency_class
         self.name = name
         self.known_optima = [np.asarray(o, dtype=float) for o in known_optima]
         self._func = func
-        self._count = 0
-        self._flagged = 0
-        self._lock = threading.Lock()
-
-    @property
-    def eval_count(self) -> int:
-        return self._count
-
-    @property
-    def flagged_count(self) -> int:
-        return self._flagged
 
     def evaluate(self, point: np.ndarray) -> float:
         value = self._func(point)
         try:
-            value = float(value)
+            return float(value)
         except (TypeError, ValueError):
-            value = math.nan
-        with self._lock:
-            self._count += 1
-            if not math.isfinite(value):
-                self._flagged += 1
-        return value
-
-    def add_counts(self, evals: int, flagged: int) -> None:
-        """Count evaluations that a copy of this handle made elsewhere.
-
-        Worker processes evaluate on pickled copies; adding their counts
-        here keeps ``eval_count`` and ``flagged_count`` whole-run totals.
-        """
-        with self._lock:
-            self._count += evals
-            self._flagged += flagged
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]  # locks cannot be pickled; each copy gets its own
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
+            return math.nan
 
     def close(self) -> None:  # overridden by worker-backed objectives
         pass
@@ -273,6 +233,10 @@ class _Worker:
         while b"\n" not in self._buffer:
             ready, _, _ = select.select([fd], [], [], self.timeout)
             if not ready:
+                # its late reply would answer the next request: end the
+                # worker, so every later evaluation is NaN, never a wrong value
+                self.proc.kill()
+                self.proc.wait()
                 return None
             chunk = os.read(fd, 65536)
             if not chunk:
@@ -317,17 +281,18 @@ class ExternalObjective(ObjectiveHandle):
     Protocol: one request line of space-separated decimal user-unit
     coordinates; one reply line holding a single decimal value.  A dead,
     silent or unparsable worker yields NaN (flagged), never an exception,
-    so the optimizer keeps running.
+    so the optimizer keeps running.  A worker that misses ``timeout`` is
+    killed, and its share of later evaluations is NaN too.
     """
 
     def __init__(self, command: str, bounds: BoundsSpec,
                  timeout: float = 30.0, workers: int = 1):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        self.workers = workers  # trials may run in as many threads at once
         self._workers = [_Worker(command, timeout) for _ in range(workers)]
         self._free: list[_Worker] = list(self._workers)
         self._cond = threading.Condition()
-        concurrency = CONCURRENT_SAFE if workers > 1 else SERIAL_ONLY
 
         def call(x_norm):
             user = denormalize(x_norm, bounds)
@@ -342,8 +307,7 @@ class ExternalObjective(ObjectiveHandle):
                     self._free.append(worker)
                     self._cond.notify()
 
-        super().__init__(bounds.dim, call, bounds,
-                         concurrency_class=concurrency, name=f"external:{command}")
+        super().__init__(bounds.dim, call, bounds, name=f"external:{command}")
 
     def close(self):
         for w in self._workers:

@@ -12,8 +12,12 @@ other picklable in-process objectives run them in N worker processes (one
 pool per run, reused across steps); an unpicklable in-process objective,
 such as a lambda, fails fast with ``ValueError``.  Threads are used only for
 an :class:`ExternalObjective` with ``workers > 1``, whose evaluations wait
-on pipes that cannot cross processes.  Objectives marked serial-only run
-their trials in turn.
+on pipes that cannot cross processes; with a single worker its trials run
+in turn.
+
+Each trial counts its own evaluations and flags (evaluations that returned
+no finite number) on its :class:`StageRecord` entries, which come back with
+the trial's result from whichever thread or process ran it.
 
 ``eval_index`` numbers evaluations in run order as if the trials had run in
 turn: a trial stamps its own evaluation count, and after each step every
@@ -34,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .domain import BoundsSpec
-from .objective import CONCURRENT_SAFE, ExternalObjective, ObjectiveHandle
+from .objective import ExternalObjective, ObjectiveHandle
 from .rng import seed
 from .stages import STAGE_NAMES, STAGES, AlgorithmOptions, TrialContext
 from .swarm import (RatedPoint, Stack, StackMetrics, default_ema_alpha,
@@ -86,6 +90,7 @@ class StageRecord:
     trial_index: int
     stage: str
     evals_used: int
+    flagged_evals: int
     best_value: float
     metrics: StackMetrics
     elapsed_s: float
@@ -96,12 +101,16 @@ class RunDiagnostics:
     """Per-stage records plus evaluation accounting for a whole run."""
 
     records: list[StageRecord] = field(default_factory=list)
-    total_evaluations: int = 0
     swarm_history: list[RatedPoint] = field(default_factory=list)
     elapsed_s: float = 0.0
 
-    def recorded_evaluations(self) -> int:
+    @property
+    def total_evaluations(self) -> int:
         return sum(r.evals_used for r in self.records)
+
+    @property
+    def flagged_evaluations(self) -> int:
+        return sum(r.flagged_evals for r in self.records)
 
     def best_value_trajectory(self) -> list[float]:
         return [r.best_value for r in self.records]
@@ -137,9 +146,9 @@ def run_trial(config: RunConfig, objective: ObjectiveHandle, temperature: float,
               ) -> tuple[Stack, list[StageRecord], list[RatedPoint]]:
     """One full four-stage pass at a fixed temperature.
 
-    Guess-point evaluations count against the first stage's budget.  The
-    returned stack is deterministic given (config, temperature, guesses,
-    stream_index) and the objective.
+    Guess-point evaluations, and their flags, count against the first
+    stage.  The returned stack is deterministic given (config, temperature,
+    guesses, stream_index) and the objective.
     """
     if not guess_points:
         raise ValueError("run_trial needs at least one guess point")
@@ -155,37 +164,34 @@ def run_trial(config: RunConfig, objective: ObjectiveHandle, temperature: float,
     for guess in guess_points:
         position = np.asarray(guess, dtype=float)
         ctx.offer(ctx.rate(position, ctx.evaluate(position)))
-    seed_cost = ctx.eval_count
+    seed_cost, seed_flags = ctx.eval_count, ctx.flagged_count
 
     alpha = default_ema_alpha(config.stack_capacity)
     records = []
     budgets = (max(ctx.stage_budgets[0] - seed_cost, 0),) + ctx.stage_budgets[1:]
     for stage, name, budget in zip(STAGES, STAGE_NAMES, budgets):
-        before = ctx.eval_count
+        before, flags_before = ctx.eval_count, ctx.flagged_count
         started = time.perf_counter()
         stage(ctx, budget)
         used = ctx.eval_count - before
+        flagged = ctx.flagged_count - flags_before
         if name == STAGE_NAMES[0]:
-            used += seed_cost  # guesses are paid out of the first stage
+            # guesses are paid out of the first stage
+            used += seed_cost
+            flagged += seed_flags
         records.append(StageRecord(
             temperature=temperature, trial_index=stream_index,
-            stage=name, evals_used=used, best_value=stack.best.value,
+            stage=name, evals_used=used, flagged_evals=flagged,
+            best_value=stack.best.value,
             metrics=stack_score(stack, alpha),
             elapsed_s=time.perf_counter() - started))
     return stack, records, ctx.insert_log or []
 
 
-def _run_trial_counted(config: RunConfig, objective: ObjectiveHandle,
-                       temperature: float, guess_points: Sequence[np.ndarray],
-                       stream_index: int):
-    """:func:`run_trial` in a worker process, which evaluates on its own copy
-    of the objective: also returns the evaluations and flags that copy
-    counted, for the caller's handle."""
-    evals, flagged = objective.eval_count, objective.flagged_count
-    result = run_trial(config, objective, temperature, guess_points,
-                       stream_index)
-    return (result, objective.eval_count - evals,
-            objective.flagged_count - flagged)
+def _run_one_trial(*args):
+    """:func:`run_trial`, looked up when called, so a pool pickles this
+    module-level function while callers may rebind ``run_trial``."""
+    return run_trial(*args)
 
 
 def trial_pool(config: RunConfig, objective: ObjectiveHandle):
@@ -196,9 +202,11 @@ def trial_pool(config: RunConfig, objective: ObjectiveHandle):
     workers.  The caller shuts the executor down.
     """
     workers = min(config.threads, config.trials_per_temperature)
-    if workers < 2 or objective.concurrency_class != CONCURRENT_SAFE:
+    if workers < 2:
         return None
     if isinstance(objective, ExternalObjective):
+        if objective.workers < 2:
+            return None  # one pipe: its trials could only take turns
         from concurrent.futures import ThreadPoolExecutor
         return ThreadPoolExecutor(max_workers=workers)
     try:
@@ -228,19 +236,9 @@ def run_temperature_step(config: RunConfig, objective: ObjectiveHandle,
     they run in turn.  ``evals_before`` is the number of evaluations the
     run made before this step.
     """
-    one = partial(run_trial, config, objective, temperature, guesses)
     streams = range(base_stream, base_stream + config.trials_per_temperature)
-    if pool is None:
-        results = [one(s) for s in streams]
-    elif isinstance(objective, ExternalObjective):
-        results = list(pool.map(one, streams))
-    else:
-        results = []
-        for result, evals, flagged in pool.map(partial(
-                _run_trial_counted, config, objective, temperature, guesses),
-                streams):
-            objective.add_counts(evals, flagged)
-            results.append(result)
+    results = (pool.map if pool else map)(partial(
+        _run_one_trial, config, objective, temperature, guesses), streams)
 
     offset = evals_before
     stacks, records, history = [], [], []
@@ -275,10 +273,9 @@ def run_optimization(config: RunConfig, objective: ObjectiveHandle,
             base_stream = step_index * config.trials_per_temperature
             stack, records, history = run_temperature_step(
                 config, objective, temperature, guesses, base_stream, pool,
-                diagnostics.recorded_evaluations())
+                diagnostics.total_evaluations)
             diagnostics.records.extend(records)
             diagnostics.swarm_history.extend(history)
             guesses = [entry.position for entry in stack.entries]
-    diagnostics.total_evaluations = diagnostics.recorded_evaluations()
     diagnostics.elapsed_s = time.perf_counter() - started
     return stack, diagnostics

@@ -98,13 +98,17 @@ class TrialContext:
     stage_budgets: tuple[int, int, int, int]
     options: AlgorithmOptions = AlgorithmOptions()
     eval_count: int = 0
+    flagged_count: int = 0  # evaluations that returned no finite number
     direction_history: deque = field(
         default_factory=lambda: deque(maxlen=DIRECTION_HISTORY_CAPACITY))
     insert_log: Optional[list] = None
 
     def evaluate(self, position: np.ndarray) -> float:
         self.eval_count += 1
-        return self.objective.evaluate(position)
+        value = self.objective.evaluate(position)
+        if not math.isfinite(value):
+            self.flagged_count += 1
+        return value
 
     def rate(self, position: np.ndarray, value: float) -> RatedPoint:
         """Stamp with the trial's own evaluation count; the scheduler shifts
@@ -159,8 +163,10 @@ def run_swarm_search(ctx: TrialContext, budget: Optional[int] = None) -> TrialCo
     return ctx
 
 
-def recombine_rate(t: float, ratio_high_t: float = 2.0,
-                   ratio_low_t: float = 5.0) -> float:
+def recombine_rate(t: float,
+                   ratio_high_t: float = AlgorithmOptions.recombine_ratio_high_t,
+                   ratio_low_t: float = AlgorithmOptions.recombine_ratio_low_t,
+                   ) -> float:
     """Rate of the parent-selection exponential as a function of temperature.
 
     Chosen so the endpoint density ratio of the bounded exponential is
@@ -173,20 +179,17 @@ def recombine_rate(t: float, ratio_high_t: float = 2.0,
     return (1.0 - t) * math.log(ratio_low_t) + t * math.log(ratio_high_t)
 
 
-def choose_n_recombine(rng: RngState, t: float, n_stack: int,
-                       ratio_high_t: float = 2.0,
-                       ratio_low_t: float = 5.0) -> int:
-    """Number of parents for one child, drawn in [2, n_stack]."""
+def choose_n_recombine(rng: RngState, rate: float, n_stack: int) -> int:
+    """Number of parents for one child, drawn in [2, n_stack].
+
+    ``rate`` is the parent-selection rate from :func:`recombine_rate`.
+    """
     if n_stack < 2:
         raise ValueError(f"need at least 2 stack entries, got {n_stack}")
-    if n_stack == 2:
-        # the draw is still consumed so the stream advances uniformly
-        bounded_exponential(rng, recombine_rate(t, ratio_high_t, ratio_low_t),
-                            0.0, 1.0)
-        return 2
-    x = bounded_exponential(rng, recombine_rate(t, ratio_high_t, ratio_low_t),
-                            0.0, 1.0)
-    return int(round(2.0 + x * (n_stack - 2)))
+    # at n_stack == 2 the draw is still consumed so the stream advances
+    # uniformly
+    x = bounded_exponential(rng, rate, 0.0, 1.0)
+    return 2 if n_stack == 2 else int(round(2.0 + x * (n_stack - 2)))
 
 
 def recombine(ctx: TrialContext) -> np.ndarray:
@@ -199,12 +202,10 @@ def recombine(ctx: TrialContext) -> np.ndarray:
     """
     opts = ctx.options
     t = ctx.temperature
-    n = choose_n_recombine(ctx.rng, t, len(ctx.stack.entries),
-                           opts.recombine_ratio_high_t,
-                           opts.recombine_ratio_low_t)
-    parents = ctx.stack.entries[:n]
     rate = recombine_rate(t, opts.recombine_ratio_high_t,
                           opts.recombine_ratio_low_t)
+    n = choose_n_recombine(ctx.rng, rate, len(ctx.stack.entries))
+    parents = ctx.stack.entries[:n]
     fat_tail = opts.fat_tail3_params(t)
     child = np.empty(ctx.dim)
     for j in range(ctx.dim):

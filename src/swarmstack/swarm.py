@@ -194,10 +194,6 @@ def stat_params(stack: Stack) -> float:
     return sds.size / float((1.0 / sds).sum())
 
 
-def disp_score(stack: Stack) -> float:
-    return (math.sqrt(stat_dist(stack)) + math.sqrt(stat_params(stack))) / 2.0
-
-
 def fmt_score(stack: Stack, alpha: float) -> float:
     """Exponential moving average of entry merits, worst to best.
 

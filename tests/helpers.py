@@ -59,6 +59,25 @@ def ks_2samp_pvalue(a, b):
     return stats.ks_2samp(a, b).pvalue
 
 
+class CountingFunction:
+    """Wraps an objective function and counts its calls and its non-finite
+    returns itself: the oracle for the trial's evaluation and flag counters.
+
+    Counts only calls made in this process, so use it with ``threads=1``.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.calls = 0
+        self.nonfinite = 0
+
+    def __call__(self, x):
+        value = self.func(x)
+        self.calls += 1
+        self.nonfinite += not math.isfinite(value)
+        return value
+
+
 class BruteForceStack:
     """Independent reimplementation of the keep-best-distinct stack policy.
 

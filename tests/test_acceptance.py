@@ -14,14 +14,16 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from helpers import BruteForceStack, chi_square_vs_pdf, fit_bounded_exp_rate
+from helpers import (BruteForceStack, CountingFunction, chi_square_vs_pdf,
+                     fit_bounded_exp_rate)
 from swarmstack import distributions as D
 from swarmstack import rng as R
 from swarmstack import stages as S
 from swarmstack import swarm as sw
 from swarmstack.domain import BoundsSpec, LineSegment
 from swarmstack.linmin import DEFAULT_EVAL_CAP, minimize_on_line
-from swarmstack.objective import make_benchmark, make_benchmark_with_bounds
+from swarmstack.objective import (ObjectiveHandle, make_benchmark,
+                                  make_benchmark_with_bounds)
 from swarmstack.scheduler import RunConfig, allocate_budget, run_optimization
 from swarmstack.swarm import RatedPoint, Stack
 
@@ -51,19 +53,21 @@ def trajectory_is_monotone(diag):
 def default_sphere_run():
     handle = make_benchmark("sphere", 11, bounds_style="offset")
     config = RunConfig(dim=11, bounds=handle.bounds, master_seed=2026)
-    stack, diag = run_optimization(config, handle)
-    return config, handle, stack, diag
+    calls = CountingFunction(handle.evaluate)
+    stack, diag = run_optimization(
+        config, ObjectiveHandle(11, calls, handle.bounds))
+    return config, handle, stack, diag, calls
 
 
 @pytest.mark.slow
 def test_criterion_1_budget_arithmetic(default_sphere_run):
-    config, handle, stack, diag = default_sphere_run
+    config, handle, stack, diag, calls = default_sphere_run
     nominal = 5 * 10 * 10_000
     total = diag.total_evaluations
     split = allocate_budget(10_000)
     ok = (split == (2174, 2174, 2826, 2826)
           and 0.9 * nominal <= total <= 1.1 * nominal
-          and diag.recorded_evaluations() == total)
+          and calls.calls == total)
     # actual per-stage spend: nominal share, plus at most one line
     # minimization of overshoot
     cap = DEFAULT_EVAL_CAP

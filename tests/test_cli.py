@@ -319,6 +319,33 @@ class TestExternalThroughCli:
         assert float(best[1]) < 1e-4
         assert abs(float(best[4]) - 0.2) < 0.05
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_flagged_total_printed(self, tmp_path, capsys, threads):
+        import sys as _sys
+        log = tmp_path / "replies.log"
+        worker = tmp_path / "w.py"
+        worker.write_text(
+            "import sys\n"
+            f"log = open({str(log)!r}, 'a', buffering=1)\n"
+            "for line in sys.stdin:\n"
+            "    xs = [float(v) for v in line.split()]\n"
+            "    reply = 'nan' if xs[0] < -1 else repr(sum(x * x for x in xs))\n"
+            "    log.write(reply + '\\n')\n"
+            "    print(reply, flush=True)\n")
+        cfg = cli.parse_config(None, {
+            "external_cmd": f"{_sys.executable} {worker}",
+            "dim": "2", "bounds": "-2:3", "trials": "2", "workers": "2",
+            "threads": str(threads), "temperatures": "1, 0",
+            "evals_per_trial": "200", "stack_capacity": "8",
+            "seed": "3", "out_dir": str(tmp_path / "o")})
+        assert cli.run_command(cfg) == 0
+        replies = log.read_text().splitlines()
+        flagged = replies.count("nan")
+        assert flagged > 0
+        out = capsys.readouterr().out
+        assert (f"total evaluations: {len(replies)} ({flagged} flagged)\n"
+                in out)
+
     def test_external_requires_bounds(self):
         cfg = cli.parse_config(None, {"external_cmd": "cat", "dim": "2"})
         with pytest.raises(ValueError, match="bounds"):

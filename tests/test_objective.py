@@ -2,12 +2,17 @@ import math
 import pickle
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
 
+from helpers import CountingFunction
 from swarmstack import objective as obj
 from swarmstack.domain import BoundsSpec, denormalize
+from swarmstack.rng import seed
+from swarmstack.stages import TrialContext
+from swarmstack.swarm import Stack
 
 
 def scalar_rastrigin(xs):
@@ -53,19 +58,33 @@ SCALAR_ORACLES = {
 }
 
 
+def trial_context(handle):
+    """A trial over ``handle``: the trial, not the handle, counts."""
+    return TrialContext(stack=Stack(8, 0.01), rng=seed(0, 0), temperature=0.5,
+                        dim=handle.dim, objective=handle,
+                        stage_budgets=(100, 100, 100, 100))
+
+
 class TestEvalCounting:
     def test_exact_count_and_flags(self):
-        h = obj.make_benchmark("sphere", 3)
+        sphere = obj.make_benchmark("sphere", 3)
+        func = CountingFunction(sphere.evaluate)
+        ctx = trial_context(obj.ObjectiveHandle(3, func, sphere.bounds))
         for _ in range(17):
-            h.evaluate(np.full(3, 0.5))
-        assert h.eval_count == 17
-        assert h.flagged_count == 0
+            ctx.evaluate(np.full(3, 0.5))
+        assert ctx.eval_count == func.calls == 17
+        assert ctx.flagged_count == func.nonfinite == 0
 
     def test_nonfinite_flagged(self):
-        h = obj.ObjectiveHandle(2, lambda x: math.nan, BoundsSpec.unit(2))
-        assert math.isnan(h.evaluate(np.array([0.5, 0.5])))
-        assert h.flagged_count == 1
-        assert h.eval_count == 1
+        replies = iter([math.nan, "not a number", None, math.inf, 2.5])
+        h = obj.ObjectiveHandle(2, lambda x: next(replies), BoundsSpec.unit(2))
+        ctx = trial_context(h)
+        values = [ctx.evaluate(np.array([0.5, 0.5])) for _ in range(5)]
+        assert [math.isnan(v) for v in values] == [True, True, True, False,
+                                                   False]
+        assert values[3:] == [math.inf, 2.5]
+        assert ctx.flagged_count == 4
+        assert ctx.eval_count == 5
 
 
 class TestBenchmarks:
@@ -137,10 +156,13 @@ class TestBenchmarks:
                                      noise_seed=7),
                   obj.make_benchmark_with_bounds(name, dim, bounds,
                                                  noise_seed=7)):
-            copy = pickle.loads(pickle.dumps(h))
+            state = pickle.dumps(h)
+            copy = pickle.loads(state)
             assert [copy.evaluate(p) for p in pts] == \
                    [h.evaluate(p) for p in pts]
-            assert copy.eval_count == h.eval_count == len(pts)
+            # evaluating leaves the handle as it was, so a copy sent to a
+            # worker process never differs from the original
+            assert pickle.dumps(h) == pickle.dumps(copy) == state
             for a, b in zip(copy.known_optima, h.known_optima):
                 assert np.array_equal(a, b)
 
@@ -180,8 +202,8 @@ class TestExternalObjective:
                                    BoundsSpec.unit(2), timeout=10.0)
         try:
             assert h.evaluate(np.array([0.3, 0.6])) == 0.0
-            assert h.eval_count == 1
-            assert h.concurrency_class == obj.SERIAL_ONLY
+            assert h.evaluate(np.array([0.9, 0.1])) == 0.0
+            assert h.workers == 1
         finally:
             h.close()
 
@@ -210,9 +232,11 @@ class TestExternalObjective:
         h = obj.external_objective(f"{sys.executable} {script}",
                                    BoundsSpec.unit(1), timeout=10.0)
         try:
-            assert math.isnan(h.evaluate(np.array([0.5])))
-            assert h.flagged_count == 1
-            assert h.evaluate(np.array([0.5])) == 1.5
+            ctx = trial_context(h)
+            assert math.isnan(ctx.evaluate(np.array([0.5])))
+            assert ctx.flagged_count == 1
+            assert ctx.evaluate(np.array([0.5])) == 1.5
+            assert (ctx.eval_count, ctx.flagged_count) == (2, 1)
         finally:
             h.close()
 
@@ -226,20 +250,50 @@ class TestExternalObjective:
         finally:
             h.close()
 
+    def test_slow_reply_never_answers_a_later_request(self, tmp_path):
+        script = tmp_path / "w.py"
+        script.write_text(textwrap.dedent("""\
+            import sys, time
+            for i, line in enumerate(sys.stdin):
+                if i == 0:
+                    time.sleep(1.0)
+                xs = [float(v) for v in line.split()]
+                print(sum(x * x for x in xs), flush=True)
+            """))
+        h = obj.external_objective(f"{sys.executable} {script}",
+                                   BoundsSpec.unit(1), timeout=0.3)
+        try:
+            assert math.isnan(h.evaluate(np.array([0.1])))
+            time.sleep(1.5)  # the late reply to 0.1 is due by now
+            # a timed-out worker is ended: NaN, never 0.1's value 0.01
+            assert math.isnan(h.evaluate(np.array([0.7])))
+            assert math.isnan(h.evaluate(np.array([0.9])))
+        finally:
+            h.close()
+
     def test_worker_pool_is_concurrent_safe(self, tmp_path):
         script = tmp_path / "w.py"
-        script.write_text(WORKER_SPHERE)
+        log = tmp_path / "requests.log"
+        script.write_text(textwrap.dedent(f"""\
+            import sys
+            for line in sys.stdin:
+                with open({str(log)!r}, "a") as fh:
+                    fh.write(line)
+                xs = [float(v) for v in line.split()]
+                print(sum(x * x for x in xs), flush=True)
+            """))
         bounds = BoundsSpec.from_pairs([(-1.0, 1.0)] * 2)
         h = obj.external_objective(f"{sys.executable} {script}", bounds,
                                    timeout=10.0, workers=3)
         try:
-            assert h.concurrency_class == obj.CONCURRENT_SAFE
+            assert h.workers == 3
             import concurrent.futures as cf
             pts = [np.array([0.5 + 0.01 * i, 0.5]) for i in range(40)]
             with cf.ThreadPoolExecutor(max_workers=6) as ex:
                 vals = list(ex.map(h.evaluate, pts))
             expect = [float((p[0] * 2 - 1) ** 2) for p in pts]
             assert vals == pytest.approx(expect, abs=1e-12)
-            assert h.eval_count == 40
+            # the workers saw each point exactly once
+            assert len(log.read_text().splitlines()) == 40
         finally:
             h.close()

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import CountingFunction
 from swarmstack import scheduler as sch
 from swarmstack.domain import BoundsSpec
 from swarmstack.linmin import DEFAULT_EVAL_CAP
@@ -17,6 +18,12 @@ from swarmstack.stages import AlgorithmOptions
 def nan_on_left_sphere(x):
     """Sphere that is undefined on the left fifth of the cube."""
     return math.nan if x[0] < 0.2 else float(np.dot(x, x))
+
+
+def counted(handle):
+    """``handle`` behind a function that counts the calls itself."""
+    func = CountingFunction(handle.evaluate)
+    return ObjectiveHandle(handle.dim, func, handle.bounds), func
 
 
 def rated(points):
@@ -90,13 +97,14 @@ class TestRunTrial:
         assert once() == once()
 
     def test_budget_within_overshoot_bound(self):
-        h = make_benchmark("sphere", 3, bounds_style="offset")
+        h, func = counted(make_benchmark("sphere", 3, bounds_style="offset"))
         cfg = small_config(h)
         stack, records, _ = sch.run_trial(cfg, h, 1.0, sch.initial_guesses(3), 0)
         cap = DEFAULT_EVAL_CAP
         for rec, budget in zip(records, sch.allocate_budget(cfg.evals_per_trial)):
             assert budget <= rec.evals_used <= budget + cap
-        assert h.eval_count <= cfg.evals_per_trial + 4 * cap
+        assert func.calls == sum(r.evals_used for r in records)
+        assert func.calls <= cfg.evals_per_trial + 4 * cap
 
     def test_best_not_worse_than_guesses(self):
         h = make_benchmark("rastrigin", 3, bounds_style="offset")
@@ -144,11 +152,11 @@ class TestRunTemperatureStep:
 
 class TestRunOptimization:
     def test_total_evaluations_accounted(self):
-        h = make_benchmark("sphere", 3, bounds_style="offset")
+        h, func = counted(make_benchmark("sphere", 3, bounds_style="offset"))
         cfg = small_config(h)
         stack, diag = sch.run_optimization(cfg, h)
-        assert diag.total_evaluations == h.eval_count
-        assert diag.recorded_evaluations() == diag.total_evaluations
+        assert diag.total_evaluations == func.calls
+        assert diag.flagged_evaluations == func.nonfinite == 0
         nominal = (len(cfg.temperatures) * cfg.trials_per_temperature
                    * cfg.evals_per_trial)
         overshoot = (len(cfg.temperatures) * cfg.trials_per_temperature
@@ -181,13 +189,12 @@ class TestRunOptimization:
         assert once() == once()
 
     def test_repeat_runs_on_one_handle_report_equal_totals(self):
-        h = make_benchmark("sphere", 2, bounds_style="offset")
+        h, func = counted(make_benchmark("sphere", 2, bounds_style="offset"))
         cfg = small_config(h, temperatures=(1.0, 0.0))
         _, first = sch.run_optimization(cfg, h)
         _, second = sch.run_optimization(cfg, h)
         assert first.total_evaluations == second.total_evaluations
-        assert first.total_evaluations == second.recorded_evaluations()
-        assert h.eval_count == 2 * first.total_evaluations
+        assert func.calls == 2 * first.total_evaluations
 
     def test_threaded_matches_sequential_content(self):
         def run(name, threads):
@@ -195,27 +202,52 @@ class TestRunOptimization:
             cfg = small_config(h, threads=threads, collect_history=True)
             stack, diag = sch.run_optimization(cfg, h)
             return (rated(stack.entries), rated(diag.swarm_history),
-                    diag.total_evaluations, h.eval_count)
+                    [(r.evals_used, r.flagged_evals) for r in diag.records])
 
         for name in ("ackley", "noisy_rastrigin"):
             serial = run(name, 1)
             assert run(name, 2) == serial, name
             assert run(name, 4) == serial, name
 
-    def test_threaded_counts_flagged_evaluations_of_workers(self):
+    def test_worker_processes_run_while_run_trial_is_rebound(self,
+                                                              monkeypatch):
+        # a tracer or spy may rebind run_trial to a closure, which cannot
+        # pickle: the pool must still send the trials to its processes
         def run(threads):
-            bounds = BoundsSpec.unit(2)
-            h = ObjectiveHandle(2, nan_on_left_sphere, bounds)
+            h = make_benchmark("ackley", 2, bounds_style="offset")
+            cfg = small_config(h, threads=threads, collect_history=True)
+            stack, diag = sch.run_optimization(cfg, h)
+            return (rated(stack.entries), rated(diag.swarm_history),
+                    [(r.evals_used, r.flagged_evals) for r in diag.records])
+
+        serial = run(1)
+        original = sch.run_trial
+
+        def traced(*args):
+            return original(*args)
+
+        monkeypatch.setattr(sch, "run_trial", traced)
+        assert run(2) == serial
+
+    def test_threaded_counts_flagged_evaluations_of_workers(self):
+        bounds = BoundsSpec.unit(2)
+
+        def run(threads, func):
+            h = ObjectiveHandle(2, func, bounds)
             cfg = sch.RunConfig(dim=2, bounds=bounds, trials_per_temperature=2,
                                 evals_per_trial=400, stack_capacity=12,
                                 master_seed=5, temperatures=(1.0, 0.0),
                                 threads=threads)
             _, diag = sch.run_optimization(cfg, h)
-            return h.eval_count, h.flagged_count, diag.total_evaluations
+            return diag
 
-        serial = run(1)
-        assert serial[1] > 0
-        assert run(2) == serial
+        oracle = CountingFunction(nan_on_left_sphere)
+        serial = run(1, oracle)
+        threaded = run(2, nan_on_left_sphere)
+        assert serial.flagged_evaluations == oracle.nonfinite > 0
+        assert serial.total_evaluations == oracle.calls
+        assert ([(r.evals_used, r.flagged_evals) for r in threaded.records]
+                == [(r.evals_used, r.flagged_evals) for r in serial.records])
 
     def test_nonfinite_objective_raises_no_runtime_warnings(self):
         bounds = BoundsSpec.unit(2)
@@ -225,22 +257,26 @@ class TestRunOptimization:
                             master_seed=5, temperatures=(1.0, 0.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            sch.run_optimization(cfg, h)
-        assert h.flagged_count > 0
+            _, diag = sch.run_optimization(cfg, h)
+        assert diag.flagged_evaluations > 0
 
     def test_threads_with_unpicklable_objective_fail_fast(self):
         bounds = BoundsSpec.unit(2)
-        h = ObjectiveHandle(2, lambda x: float(np.dot(x, x)), bounds)
+        calls = []
+        h = ObjectiveHandle(2, lambda x: calls.append(x) or float(np.dot(x, x)),
+                            bounds)
         cfg = small_config(h, threads=2)
         with pytest.raises(ValueError, match="picklable"):
             sch.run_optimization(cfg, h)
-        assert h.eval_count == 0
+        assert calls == []
 
     def test_external_worker_pool_runs_trials_in_threads(self, tmp_path,
                                                          monkeypatch):
         script = tmp_path / "w.py"
         script.write_text("import sys\n"
+                          "log = open(sys.argv[1], 'a', buffering=1)\n"
                           "for line in sys.stdin:\n"
+                          "    log.write(line)\n"
                           "    xs = [float(v) for v in line.split()]\n"
                           "    print(repr(sum(x * x for x in xs)), flush=True)\n")
         bounds = BoundsSpec.from_pairs([(-2.0, 3.0)] * 2)
@@ -255,7 +291,8 @@ class TestRunOptimization:
         monkeypatch.setattr(sch, "run_trial", spy)
 
         def run(threads):
-            h = external_objective(f"{sys.executable} {script}", bounds,
+            log = tmp_path / f"requests-{threads}.log"
+            h = external_objective(f"{sys.executable} {script} {log}", bounds,
                                    timeout=10.0, workers=2)
             try:
                 cfg = sch.RunConfig(dim=2, bounds=bounds,
@@ -264,8 +301,11 @@ class TestRunOptimization:
                                     master_seed=8, temperatures=(1.0, 0.0),
                                     threads=threads, collect_history=True)
                 stack, diag = sch.run_optimization(cfg, h)
+                # the workers saw as many requests as the trials counted
+                assert len(log.read_text().splitlines()) == \
+                       diag.total_evaluations
                 return (rated(stack.entries), rated(diag.swarm_history),
-                        h.eval_count)
+                        diag.total_evaluations)
             finally:
                 h.close()
 

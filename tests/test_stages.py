@@ -111,11 +111,13 @@ class TestRecombineRate:
 class TestChooseNRecombine:
     def test_degenerate_two(self):
         state = R.seed(50, 1)
-        assert all(S.choose_n_recombine(state, 0.7, 2) == 2 for _ in range(50))
+        rate = S.recombine_rate(0.7)
+        assert all(S.choose_n_recombine(state, rate, 2) == 2 for _ in range(50))
 
     def test_cold_prefers_few_parents_five_to_one(self):
         state = R.seed(50, 0)
-        draws = [S.choose_n_recombine(state, 0.0, 120) for _ in range(100_000)]
+        rate = S.recombine_rate(0.0)
+        draws = [S.choose_n_recombine(state, rate, 120) for _ in range(100_000)]
         counts = Counter(draws)
         ratio = counts[2] / counts[120]
         assert 3.5 < ratio < 6.5
@@ -124,7 +126,7 @@ class TestChooseNRecombine:
     @settings(max_examples=100, deadline=None)
     def test_always_in_range(self, t, n_stack, seed_val):
         state = R.seed(seed_val, 5)
-        n = S.choose_n_recombine(state, t, n_stack)
+        n = S.choose_n_recombine(state, S.recombine_rate(t), n_stack)
         assert 2 <= n <= n_stack
 
 

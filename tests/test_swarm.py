@@ -229,12 +229,6 @@ class TestScores:
             s.try_insert(rp([0.1 * i, 0.2], v, i))
         return s
 
-    def test_disp_score_formula(self):
-        assert (math.sqrt(4.0) + math.sqrt(1.0)) / 2 == 1.5
-
-    def test_disp_score_single_point(self):
-        assert sw.disp_score(self.make([1.0])) == 0.0
-
     def test_fmt_score_hand_ema(self):
         s = self.make([1.0, 2.0, 3.0])
         assert sw.fmt_score(s, alpha=0.5) == pytest.approx(-1.75)
