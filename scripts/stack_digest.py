@@ -17,17 +17,22 @@ import hashlib
 import struct
 import sys
 
-from swarmstack import RunConfig, make_benchmark, run_optimization
+from swarmstack import (AlgorithmOptions, RunConfig, make_benchmark,
+                        run_optimization)
 
 TRIALS = 2  # per temperature, so a run with threads > 1 uses a pool
+DEFAULTS = AlgorithmOptions()
 
-# (label, function, dim, bounds style, master seed, threads)
+# (label, function, dim, bounds style, master seed, threads, options)
 CASES = (
-    ("twin_valleys-2-seed1", "twin_valleys", 2, "conventional", 1, 1),
-    ("twin_valleys-2-seed7", "twin_valleys", 2, "conventional", 7, 1),
-    ("rastrigin-11-offset", "rastrigin", 11, "offset", 1, 1),
-    ("ackley-3-threads2", "ackley", 3, "conventional", 1, 2),
-    ("noisy_rastrigin-4", "noisy_rastrigin", 4, "conventional", 1, 1),
+    ("twin_valleys-2-seed1", "twin_valleys", 2, "conventional", 1, 1, DEFAULTS),
+    ("twin_valleys-2-seed7", "twin_valleys", 2, "conventional", 7, 1, DEFAULTS),
+    ("rastrigin-11-offset", "rastrigin", 11, "offset", 1, 1, DEFAULTS),
+    ("ackley-3-threads2", "ackley", 3, "conventional", 1, 2, DEFAULTS),
+    ("noisy_rastrigin-4", "noisy_rastrigin", 4, "conventional", 1, 1, DEFAULTS),
+    # probes that improve are offered as they are, not line-minimized
+    ("twin_valleys-2-linmin-off", "twin_valleys", 2, "conventional", 1, 1,
+     AlgorithmOptions(linmin_on_improvement=False)),
 )
 
 
@@ -39,13 +44,15 @@ def _points(h, points) -> None:
 
 
 def run_digest(name: str, dim: int, bounds_style: str, seed: int,
-               evals_per_trial: int, threads: int) -> str:
+               evals_per_trial: int, threads: int,
+               options: AlgorithmOptions = DEFAULTS) -> str:
     handle = make_benchmark(name, dim, bounds_style=bounds_style,
                             noise_seed=seed)
     config = RunConfig(dim=dim, bounds=handle.bounds,
                        trials_per_temperature=TRIALS,
                        evals_per_trial=evals_per_trial, master_seed=seed,
-                       threads=threads, collect_history=True)
+                       threads=threads, options=options,
+                       collect_history=True)
     stack, diag = run_optimization(config, handle)
     h = hashlib.sha256()
     _points(h, stack.entries)
@@ -66,9 +73,9 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=None,
                         help="override every case's thread count")
     args = parser.parse_args(argv)
-    for label, name, dim, style, seed, threads in CASES:
+    for label, name, dim, style, seed, threads, options in CASES:
         digest = run_digest(name, dim, style, seed, args.evals_per_trial,
-                            args.threads or threads)
+                            args.threads or threads, options)
         print(f"{label} {digest}", flush=True)
     return 0
 

@@ -219,6 +219,7 @@ def write_diagnostics_jsonl(diag: RunDiagnostics, path: Path) -> None:
                 "trial": r.trial_index,
                 "stage": r.stage,
                 "evals": r.evals_used,
+                "flagged_evals": r.flagged_evals,
                 "best_value": r.best_value,
                 "stat_dist": r.metrics.stat_dist,
                 "stat_params": r.metrics.stat_params,

@@ -29,6 +29,9 @@ from .rng import seed, uniform01
 # Normalized position of the optimum under "offset" bounds: away from the
 # diagonal guess coordinates 0.25 / 0.5 / 0.75.
 _OFFSET_FRACTION = 0.37
+# fresh processes an external worker may start after its first one died,
+# timed out or broke its pipe
+WORKER_RESTARTS = 3
 
 
 class ObjectiveHandle:
@@ -219,24 +222,39 @@ def make_benchmark_with_bounds(name: str, dim: int, bounds: BoundsSpec,
 
 
 class _Worker:
-    """One external evaluation process speaking the line protocol."""
+    """One external evaluation process speaking the line protocol.
+
+    A process that dies, misses the timeout or breaks its pipe is ended;
+    the next request starts a fresh one, up to ``WORKER_RESTARTS`` times.
+    """
 
     def __init__(self, command: str, timeout: float):
-        self.proc = subprocess.Popen(
-            command, shell=True, stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=False)
+        self.command = command
         self.timeout = timeout
+        self.restarts_left = WORKER_RESTARTS
+        self._start()
+
+    def _start(self) -> None:
+        self.proc = subprocess.Popen(
+            self.command, shell=True, stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=False)
         self._buffer = b""
+
+    def _end(self) -> None:
+        """Kill the process, so a late reply never answers a later request."""
+        self.proc.kill()
+        self.proc.wait()
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            try:
+                pipe.close()
+            except OSError:
+                pass
 
     def _read_line(self) -> bytes | None:
         fd = self.proc.stdout.fileno()
         while b"\n" not in self._buffer:
             ready, _, _ = select.select([fd], [], [], self.timeout)
             if not ready:
-                # its late reply would answer the next request: end the
-                # worker, so every later evaluation is NaN, never a wrong value
-                self.proc.kill()
-                self.proc.wait()
                 return None
             chunk = os.read(fd, 65536)
             if not chunk:
@@ -247,15 +265,21 @@ class _Worker:
 
     def evaluate(self, user_point: np.ndarray) -> float:
         if self.proc.poll() is not None:
-            return math.nan
+            if not self.restarts_left:
+                return math.nan
+            self.restarts_left -= 1
+            self._end()  # closes the dead process's pipes
+            self._start()
         request = " ".join(repr(float(v)) for v in user_point) + "\n"
         try:
             self.proc.stdin.write(request.encode())
             self.proc.stdin.flush()
         except (BrokenPipeError, OSError):
+            self._end()
             return math.nan
         line = self._read_line()
         if line is None:
+            self._end()
             return math.nan
         try:
             return float(line.strip())
@@ -281,8 +305,9 @@ class ExternalObjective(ObjectiveHandle):
     Protocol: one request line of space-separated decimal user-unit
     coordinates; one reply line holding a single decimal value.  A dead,
     silent or unparsable worker yields NaN (flagged), never an exception,
-    so the optimizer keeps running.  A worker that misses ``timeout`` is
-    killed, and its share of later evaluations is NaN too.
+    so the optimizer keeps running.  A worker that dies or misses
+    ``timeout`` is killed and restarted on its next request, at most
+    ``WORKER_RESTARTS`` times; after that its share of evaluations is NaN.
     """
 
     def __init__(self, command: str, bounds: BoundsSpec,

@@ -112,9 +112,6 @@ class RunDiagnostics:
     def flagged_evaluations(self) -> int:
         return sum(r.flagged_evals for r in self.records)
 
-    def best_value_trajectory(self) -> list[float]:
-        return [r.best_value for r in self.records]
-
 
 def initial_guesses(dim: int) -> list[np.ndarray]:
     """Three points on the principal diagonal at 1/4, 1/2 and 3/4."""
@@ -158,33 +155,29 @@ def run_trial(config: RunConfig, objective: ObjectiveHandle, temperature: float,
     ctx = TrialContext(
         stack=stack, rng=seed(config.master_seed, stream_index),
         temperature=temperature, dim=config.dim, objective=objective,
-        stage_budgets=allocate_budget(config.evals_per_trial), options=opts,
-        insert_log=[] if config.collect_history else None)
+        options=opts, insert_log=[] if config.collect_history else None)
 
     for guess in guess_points:
         position = np.asarray(guess, dtype=float)
-        ctx.offer(ctx.rate(position, ctx.evaluate(position)))
-    seed_cost, seed_flags = ctx.eval_count, ctx.flagged_count
+        ctx.offer(position, ctx.evaluate(position))
 
     alpha = default_ema_alpha(config.stack_capacity)
     records = []
-    budgets = (max(ctx.stage_budgets[0] - seed_cost, 0),) + ctx.stage_budgets[1:]
+    budgets = list(allocate_budget(config.evals_per_trial))
+    budgets[0] = max(budgets[0] - ctx.eval_count, 0)
+    # counting from 0 charges the guesses to the first stage
+    before = flags_before = 0
     for stage, name, budget in zip(STAGES, STAGE_NAMES, budgets):
-        before, flags_before = ctx.eval_count, ctx.flagged_count
         started = time.perf_counter()
         stage(ctx, budget)
-        used = ctx.eval_count - before
-        flagged = ctx.flagged_count - flags_before
-        if name == STAGE_NAMES[0]:
-            # guesses are paid out of the first stage
-            used += seed_cost
-            flagged += seed_flags
         records.append(StageRecord(
             temperature=temperature, trial_index=stream_index,
-            stage=name, evals_used=used, flagged_evals=flagged,
+            stage=name, evals_used=ctx.eval_count - before,
+            flagged_evals=ctx.flagged_count - flags_before,
             best_value=stack.best.value,
             metrics=stack_score(stack, alpha),
             elapsed_s=time.perf_counter() - started))
+        before, flags_before = ctx.eval_count, ctx.flagged_count
     return stack, records, ctx.insert_log or []
 
 

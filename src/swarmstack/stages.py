@@ -11,9 +11,9 @@
 4. Swarm along axes: per-axis probes and line minimizations over a randomly
    permuted coordinate sequence, shared by the whole swarm each sweep.
 
-Each stage stops cleanly once its evaluation budget is spent; a line
-minimization started on the last budget unit may overrun by at most its own
-evaluation cap.
+Each stage spends its evaluation budget on the trial's evaluation count and
+stops cleanly once the budget is spent; a line minimization started on the
+last budget unit may overrun by at most its own evaluation cap.
 """
 
 from __future__ import annotations
@@ -88,14 +88,13 @@ class AlgorithmOptions:
 
 @dataclass
 class TrialContext:
-    """All state one trial owns: stack, generator, temperature, budgets."""
+    """All state one trial owns: stack, generator, temperature, counts."""
 
     stack: Stack
     rng: RngState
     temperature: float
     dim: int
     objective: ObjectiveHandle
-    stage_budgets: tuple[int, int, int, int]
     options: AlgorithmOptions = AlgorithmOptions()
     eval_count: int = 0
     flagged_count: int = 0  # evaluations that returned no finite number
@@ -110,12 +109,11 @@ class TrialContext:
             self.flagged_count += 1
         return value
 
-    def rate(self, position: np.ndarray, value: float) -> RatedPoint:
-        """Stamp with the trial's own evaluation count; the scheduler shifts
-        it into run order once the temperature step is done."""
-        return RatedPoint(position, value, self.eval_count)
-
-    def offer(self, point: RatedPoint) -> InsertOutcome:
+    def offer(self, position: np.ndarray, value: float) -> InsertOutcome:
+        """Offer a point to the stack, stamped with the trial's own
+        evaluation count; the scheduler shifts it into run order once the
+        temperature step is done."""
+        point = RatedPoint(position, value, self.eval_count)
         outcome = self.stack.try_insert(point)
         if self.insert_log is not None and outcome in (
                 InsertOutcome.INSERTED, InsertOutcome.REPLACED_EQUIVALENT):
@@ -123,44 +121,47 @@ class TrialContext:
         return outcome
 
 
-def run_swarm_search(ctx: TrialContext, budget: Optional[int] = None) -> TrialContext:
+def _probe(ctx: TrialContext, origin: RatedPoint, seg: LineSegment, t: float,
+           candidate: np.ndarray, offer_worse: bool) -> None:
+    """Evaluate the step ``candidate`` (at ``t`` on ``seg``) from ``origin``.
+
+    A finite value that beats the origin earns a full line minimization
+    along ``seg`` (when ``linmin_on_improvement`` is set), whose best point
+    is offered instead of the raw step; otherwise the step is offered if it
+    improved or ``offer_worse`` is set.
+    """
+    f_cand = ctx.evaluate(candidate)
+    improved = f_cand < origin.value and math.isfinite(f_cand)
+    if improved and ctx.options.linmin_on_improvement:
+        res = minimize_on_line(ctx.evaluate, seg, tol=ctx.options.linmin_tol,
+                               f0=origin.value, known_points=((t, f_cand),))
+        ctx.offer(point_on_line(seg, res.t_best), res.f_best)
+    elif improved or offer_worse:
+        ctx.offer(candidate, f_cand)
+
+
+def run_swarm_search(ctx: TrialContext, budget: int) -> None:
     """Stage one: populate and spread the swarm along shared random directions.
 
     Every sweep draws one direction for all points; each point takes a signed
-    notched step inside its line domain.  A step that improves its origin
-    point triggers a full line minimization (optional), whose best point is
-    offered instead of the raw step.
+    notched step inside its line domain, which is offered whatever its value
+    unless it improved its origin and earned a line minimization.
     """
     if not ctx.stack.entries:
         raise ValueError("swarm search needs a seeded stack")
-    if budget is None:
-        budget = ctx.stage_budgets[0]
-    opts = ctx.options
-    notch = opts.notch_params(ctx.temperature)
-    used = 0
-    while used < budget:
+    notch = ctx.options.notch_params(ctx.temperature)
+    end = ctx.eval_count + budget
+    while ctx.eval_count < end:
         direction = random_unit_direction(ctx.rng, ctx.dim)
         for origin in list(ctx.stack.entries):
-            if used >= budget:
+            if ctx.eval_count >= end:
                 break
             lo, hi = line_domain(origin.position, direction)
             if hi - lo < _DEGENERATE_SPAN:
                 continue
             seg = LineSegment(origin.position, direction, lo, hi)
             t = sample_notch_twin_peaks(ctx.rng, notch, lo, hi)
-            candidate = point_on_line(seg, t)
-            f_cand = ctx.evaluate(candidate)
-            used += 1
-            if (f_cand < origin.value and opts.linmin_on_improvement
-                    and math.isfinite(f_cand)):
-                res = minimize_on_line(
-                    ctx.evaluate, seg, tol=opts.linmin_tol, f0=origin.value,
-                    known_points=((t, f_cand),))
-                used += res.evals_used
-                ctx.offer(ctx.rate(point_on_line(seg, res.t_best), res.f_best))
-            else:
-                ctx.offer(ctx.rate(candidate, f_cand))
-    return ctx
+            _probe(ctx, origin, seg, t, point_on_line(seg, t), offer_worse=True)
 
 
 def recombine_rate(t: float,
@@ -217,19 +218,14 @@ def recombine(ctx: TrialContext) -> np.ndarray:
     return child
 
 
-def run_genetic(ctx: TrialContext, budget: Optional[int] = None) -> TrialContext:
+def run_genetic(ctx: TrialContext, budget: int) -> None:
     """Stage two: recombination with mutation; selection is better-in-worst-out."""
-    if budget is None:
-        budget = ctx.stage_budgets[1]
     if len(ctx.stack.entries) < 2:
-        return ctx
-    used = 0
-    while used < budget:
+        return
+    end = ctx.eval_count + budget
+    while ctx.eval_count < end:
         child = recombine(ctx)
-        f_child = ctx.evaluate(child)
-        used += 1
-        ctx.offer(ctx.rate(child, f_child))
-    return ctx
+        ctx.offer(child, ctx.evaluate(child))
 
 
 def attractiveness(a0: float, d: float, big_d: float, t: float) -> float:
@@ -279,7 +275,7 @@ def _stale_rows(directions: np.ndarray, history: deque) -> np.ndarray:
     return cos >= DIRECTION_COS_TOL + _STALE_MARGIN
 
 
-def run_proximal(ctx: TrialContext, budget: Optional[int] = None) -> TrialContext:
+def run_proximal(ctx: TrialContext, budget: int) -> None:
     """Stage three: line-minimize from worse points toward attractive ones.
 
     Cycling from the worst entry toward the best, each point draws a fresh
@@ -292,16 +288,14 @@ def run_proximal(ctx: TrialContext, budget: Optional[int] = None) -> TrialContex
     direction is surely stale are skipped without a scalar check, and a
     query with no other attractor left is not ranked at all.
     """
-    if budget is None:
-        budget = ctx.stage_budgets[2]
     if len(ctx.stack.entries) < 2:
-        return ctx
+        return
     opts = ctx.options
-    used = 0
-    while used < budget:
-        cycle_start = used
+    end = ctx.eval_count + budget
+    while ctx.eval_count < end:
+        cycle_start = ctx.eval_count
         for query in reversed(list(ctx.stack.entries)):
-            if used >= budget:
+            if ctx.eval_count >= end:
                 break
             entries = list(ctx.stack.entries)
             qi = next((i for i, e in enumerate(entries) if e is query), None)
@@ -329,7 +323,7 @@ def run_proximal(ctx: TrialContext, budget: Optional[int] = None) -> TrialContex
                                entries[i].value, entries[i].eval_index))
             tries = 0
             for i in ranked:
-                if tries >= ATTRACTOR_RETRY_CAP or used >= budget:
+                if tries >= ATTRACTOR_RETRY_CAP or ctx.eval_count >= end:
                     break
                 if stale[i]:
                     continue
@@ -349,13 +343,11 @@ def run_proximal(ctx: TrialContext, budget: Optional[int] = None) -> TrialContex
                 seg = LineSegment.through(query.position, direction)
                 res = minimize_on_line(ctx.evaluate, seg, tol=opts.linmin_tol,
                                        f0=query.value)
-                used += res.evals_used
-                ctx.offer(ctx.rate(point_on_line(seg, res.t_best), res.f_best))
+                ctx.offer(point_on_line(seg, res.t_best), res.f_best)
                 if res.f_best < query.value:
                     break
-        if used == cycle_start:
+        if ctx.eval_count == cycle_start:
             break  # every direction stale or degenerate: nothing left to try
-    return ctx
 
 
 def _random_permutation(rng: RngState, n: int) -> list[int]:
@@ -366,50 +358,33 @@ def _random_permutation(rng: RngState, n: int) -> list[int]:
     return perm
 
 
-def run_axes(ctx: TrialContext, budget: Optional[int] = None) -> TrialContext:
+def run_axes(ctx: TrialContext, budget: int) -> None:
     """Stage four: per-axis sweeps in random order for the whole swarm.
 
-    Along axis k the admissible step range is [-x_k, 1 - x_k].  A probe that
-    improves its origin point earns a full line minimization on that axis;
-    probes that do not improve are dropped (the stage-one skip rule applied
-    per axis).
+    Along axis k the admissible step range is [-x_k, 1 - x_k].  Each probe
+    follows the stage-one rule on that axis, except that probes which do not
+    improve their origin are dropped.
     """
     if not ctx.stack.entries:
         raise ValueError("axis sweeps need a seeded stack")
-    if budget is None:
-        budget = ctx.stage_budgets[3]
-    opts = ctx.options
-    notch = opts.notch_params(ctx.temperature)
-    used = 0
-    while used < budget:
+    notch = ctx.options.notch_params(ctx.temperature)
+    unit_axes = np.eye(ctx.dim)
+    end = ctx.eval_count + budget
+    while ctx.eval_count < end:
         for axis in _random_permutation(ctx.rng, ctx.dim):
-            if used >= budget:
+            if ctx.eval_count >= end:
                 break
             for origin in list(ctx.stack.entries):
-                if used >= budget:
+                if ctx.eval_count >= end:
                     break
                 x_k = origin.position[axis]
                 lo, hi = -x_k, 1.0 - x_k
                 t = sample_notch_twin_peaks(ctx.rng, notch, lo, hi)
+                # copy-and-set: cheaper than point_on_line, which clips
                 candidate = origin.position.copy()
                 candidate[axis] = min(max(x_k + t, 0.0), 1.0)
-                f_cand = ctx.evaluate(candidate)
-                used += 1
-                if not (f_cand < origin.value) or not math.isfinite(f_cand):
-                    continue
-                if opts.linmin_on_improvement:
-                    direction = np.zeros(ctx.dim)
-                    direction[axis] = 1.0
-                    seg = LineSegment(origin.position, direction, lo, hi)
-                    res = minimize_on_line(
-                        ctx.evaluate, seg, tol=opts.linmin_tol,
-                        f0=origin.value, known_points=((t, f_cand),))
-                    used += res.evals_used
-                    ctx.offer(ctx.rate(point_on_line(seg, res.t_best),
-                                       res.f_best))
-                else:
-                    ctx.offer(ctx.rate(candidate, f_cand))
-    return ctx
+                seg = LineSegment(origin.position, unit_axes[axis], lo, hi)
+                _probe(ctx, origin, seg, t, candidate, offer_worse=False)
 
 
 STAGES = (run_swarm_search, run_genetic, run_proximal, run_axes)

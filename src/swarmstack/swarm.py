@@ -10,6 +10,7 @@ concentrate around the surviving optima late.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -93,15 +94,7 @@ class Stack:
         return np.nonzero(self.d1_distances(position) < self.r_eq)[0].tolist()
 
     def _insert_sorted(self, candidate: RatedPoint) -> None:
-        key = candidate.sort_key()
-        lo, hi = 0, len(self.entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.entries[mid].sort_key() <= key:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.entries.insert(lo, candidate)
+        bisect.insort(self.entries, candidate, key=RatedPoint.sort_key)
         self._positions = None
 
     def try_insert(self, candidate: RatedPoint) -> InsertOutcome:

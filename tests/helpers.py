@@ -152,7 +152,7 @@ def reference_run_proximal(ctx, budget):
                                        tol=ctx.options.linmin_tol,
                                        f0=query.value)
                 used += res.evals_used
-                ctx.offer(ctx.rate(point_on_line(seg, res.t_best), res.f_best))
+                ctx.offer(point_on_line(seg, res.t_best), res.f_best)
                 if res.f_best < query.value:
                     break
         if used == cycle_start:

@@ -345,6 +345,10 @@ class TestExternalThroughCli:
         out = capsys.readouterr().out
         assert (f"total evaluations: {len(replies)} ({flagged} flagged)\n"
                 in out)
+        diagnostics = tmp_path / "o" / "diagnostics.jsonl"
+        records = [json.loads(line)
+                   for line in diagnostics.read_text().splitlines()]
+        assert sum(r["flagged_evals"] for r in records) == flagged
 
     def test_external_requires_bounds(self):
         cfg = cli.parse_config(None, {"external_cmd": "cat", "dim": "2"})

@@ -61,8 +61,7 @@ SCALAR_ORACLES = {
 def trial_context(handle):
     """A trial over ``handle``: the trial, not the handle, counts."""
     return TrialContext(stack=Stack(8, 0.01), rng=seed(0, 0), temperature=0.5,
-                        dim=handle.dim, objective=handle,
-                        stage_budgets=(100, 100, 100, 100))
+                        dim=handle.dim, objective=handle)
 
 
 class TestEvalCounting:
@@ -270,6 +269,58 @@ class TestExternalObjective:
             assert math.isnan(h.evaluate(np.array([0.9])))
         finally:
             h.close()
+
+    def test_worker_that_exits_is_restarted(self, tmp_path):
+        script = tmp_path / "w.py"
+        script.write_text(textwrap.dedent("""\
+            import sys
+            xs = [float(v) for v in sys.stdin.readline().split()]
+            print(sum(x * x for x in xs), flush=True)
+            """))
+        h = obj.external_objective(f"{sys.executable} {script}",
+                                   BoundsSpec.unit(1), timeout=10.0)
+        try:
+            assert h.evaluate(np.array([0.5])) == 0.25
+            time.sleep(0.5)  # the worker has exited after its one reply
+            assert h.evaluate(np.array([0.7])) == 0.7 * 0.7
+        finally:
+            h.close()
+
+    def test_timed_out_worker_is_restarted(self, tmp_path):
+        script = tmp_path / "w.py"
+        marker = tmp_path / "slept"
+        script.write_text(textwrap.dedent(f"""\
+            import os, sys, time
+            for line in sys.stdin:
+                if not os.path.exists({str(marker)!r}):
+                    open({str(marker)!r}, "w").close()
+                    time.sleep(5.0)
+                xs = [float(v) for v in line.split()]
+                print(sum(x * x for x in xs), flush=True)
+            """))
+        h = obj.external_objective(f"{sys.executable} {script}",
+                                   BoundsSpec.unit(1), timeout=1.0)
+        try:
+            assert math.isnan(h.evaluate(np.array([0.1])))
+            # a fresh worker answers, never with 0.1's value 0.01
+            assert h.evaluate(np.array([0.7])) == 0.7 * 0.7
+        finally:
+            h.close()
+
+    def test_restarts_are_bounded(self, tmp_path):
+        script = tmp_path / "w.py"
+        starts = tmp_path / "starts.log"
+        script.write_text(f"with open({str(starts)!r}, 'a') as fh:\n"
+                          "    fh.write('start\\n')\n"
+                          "raise SystemExit(1)\n")
+        h = obj.external_objective(f"{sys.executable} {script}",
+                                   BoundsSpec.unit(1), timeout=5.0)
+        try:
+            for _ in range(obj.WORKER_RESTARTS + 3):
+                assert math.isnan(h.evaluate(np.array([0.5])))
+        finally:
+            h.close()
+        assert starts.read_text() == "start\n" * (1 + obj.WORKER_RESTARTS)
 
     def test_worker_pool_is_concurrent_safe(self, tmp_path):
         script = tmp_path / "w.py"

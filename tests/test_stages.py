@@ -26,15 +26,14 @@ def unit_sphere(center, dim, name="sphere_unit"):
 
 
 def make_ctx(handle, seed_val, temperature, capacity=8, guesses=(),
-             options=S.AlgorithmOptions(), budgets=(200, 200, 200, 200)):
+             options=S.AlgorithmOptions()):
     stack = Stack(capacity, options.equivalence_radius(temperature, handle.dim))
     ctx = S.TrialContext(stack=stack, rng=R.seed(seed_val, 0),
                          temperature=temperature, dim=handle.dim,
-                         objective=handle, stage_budgets=budgets,
-                         options=options)
+                         objective=handle, options=options)
     for g in guesses:
         g = np.asarray(g, dtype=float)
-        ctx.offer(ctx.rate(g, ctx.evaluate(g)))
+        ctx.offer(g, ctx.evaluate(g))
     return ctx
 
 
@@ -338,12 +337,11 @@ def full_proximal_ctx(dim, temperature, history_kind):
     handle = make_benchmark("rastrigin", dim, bounds_style="offset")
     ctx = S.TrialContext(stack=Stack(120, 1e-3 * dim),
                          rng=R.seed(150 + dim, 0), temperature=temperature,
-                         dim=dim, objective=handle,
-                         stage_budgets=(0, 0, 400, 0))
+                         dim=dim, objective=handle)
     gen = np.random.default_rng(dim)
     while len(ctx.stack) < 120:
         x = gen.random(dim)
-        ctx.offer(ctx.rate(x, ctx.evaluate(x)))
+        ctx.offer(x, ctx.evaluate(x))
     if history_kind == "full":
         for v in gen.standard_normal((S.DIRECTION_HISTORY_CAPACITY, dim)):
             ctx.direction_history.append(v / math.sqrt(v @ v))
@@ -468,6 +466,51 @@ class TestRunAxes:
         ctx = make_ctx(h, 133, 0.5)
         with pytest.raises(ValueError):
             S.run_axes(ctx, 10)
+
+
+class TestProbeRuleWithoutLinmin:
+    """With line minimization off, stage one offers every finite probe and
+    stage four only the probes that improve their origin."""
+
+    @staticmethod
+    def probes_and_offers(stage):
+        """(value, origin value) of every probe and every offer on a stack
+        that cannot grow, so the origin is always its one entry."""
+        probes, offers = [], []
+        ctx = None
+
+        def f(x):
+            value = math.nan if x[0] > 0.8 else float((x - 0.37) @ (x - 0.37))
+            if ctx is not None:
+                probes.append((value, ctx.stack.best.value))
+            return value
+
+        h = ObjectiveHandle(2, f, BoundsSpec.unit(2))
+        opts = S.AlgorithmOptions(linmin_on_improvement=False)
+        ctx = make_ctx(h, 150, 1.0, capacity=1, options=opts,
+                       guesses=[(0.6, 0.9)])
+        offer = ctx.offer
+
+        def logged(position, value):
+            offers.append((value, ctx.stack.best.value))
+            return offer(position, value)
+
+        ctx.offer = logged
+        stage(ctx, 200)
+        assert len(probes) == 200
+        assert any(math.isnan(value) for value, _ in probes)
+        return probes, offers
+
+    def test_axes_offer_only_improving_probes(self):
+        probes, offers = self.probes_and_offers(S.run_axes)
+        assert offers == [(v, o) for v, o in probes if v < o]
+        assert 0 < len(offers) < len(probes)
+
+    def test_swarm_search_offers_every_finite_probe(self):
+        probes, offers = self.probes_and_offers(S.run_swarm_search)
+        finite = [(v, o) for v, o in probes if math.isfinite(v)]
+        assert [(v, o) for v, o in offers if math.isfinite(v)] == finite
+        assert any(v >= o for v, o in offers)
 
 
 class TestStageDeterminism:
