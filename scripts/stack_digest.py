@@ -14,14 +14,21 @@ Example:
 
 import argparse
 import hashlib
+import shlex
 import struct
 import sys
 
-from swarmstack import (AlgorithmOptions, RunConfig, make_benchmark,
-                        run_optimization)
+from swarmstack import (AlgorithmOptions, RunConfig, external_objective,
+                        make_benchmark, run_optimization)
 
 TRIALS = 2  # per temperature, so a run with threads > 1 uses a pool
 DEFAULTS = AlgorithmOptions()
+# sphere served over the line protocol by a one-line worker process, with
+# as many workers as trials
+EXTERNAL_SPHERE = "external_sphere"
+SPHERE_WORKER = f"{shlex.quote(sys.executable)} -c " + shlex.quote(
+    "import sys; [print(repr(sum(float(v) ** 2 for v in line.split())), "
+    "flush=True) for line in sys.stdin]")
 
 # (label, function, dim, bounds style, master seed, threads, options)
 CASES = (
@@ -33,6 +40,7 @@ CASES = (
     # probes that improve are offered as they are, not line-minimized
     ("twin_valleys-2-linmin-off", "twin_valleys", 2, "conventional", 1, 1,
      AlgorithmOptions(linmin_on_improvement=False)),
+    ("sphere-3-external", EXTERNAL_SPHERE, 3, "conventional", 1, 1, DEFAULTS),
 )
 
 
@@ -46,14 +54,21 @@ def _points(h, points) -> None:
 def run_digest(name: str, dim: int, bounds_style: str, seed: int,
                evals_per_trial: int, threads: int,
                options: AlgorithmOptions = DEFAULTS) -> str:
-    handle = make_benchmark(name, dim, bounds_style=bounds_style,
-                            noise_seed=seed)
+    if name == EXTERNAL_SPHERE:
+        bounds = make_benchmark("sphere", dim, bounds_style=bounds_style).bounds
+        handle = external_objective(SPHERE_WORKER, bounds, workers=TRIALS)
+    else:
+        handle = make_benchmark(name, dim, bounds_style=bounds_style,
+                                noise_seed=seed)
     config = RunConfig(dim=dim, bounds=handle.bounds,
                        trials_per_temperature=TRIALS,
                        evals_per_trial=evals_per_trial, master_seed=seed,
                        threads=threads, options=options,
                        collect_history=True)
-    stack, diag = run_optimization(config, handle)
+    try:
+        stack, diag = run_optimization(config, handle)
+    finally:
+        handle.close()
     h = hashlib.sha256()
     _points(h, stack.entries)
     _points(h, diag.swarm_history)

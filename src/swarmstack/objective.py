@@ -14,11 +14,14 @@ with the default initial guesses and make runs look artificially easy.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import select
 import subprocess
 import threading
+import time
+from contextlib import suppress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -222,121 +225,121 @@ def make_benchmark_with_bounds(name: str, dim: int, bounds: BoundsSpec,
 
 
 class _Worker:
-    """One external evaluation process speaking the line protocol.
-
-    A process that dies, misses the timeout or breaks its pipe is ended;
-    the next request starts a fresh one, up to ``WORKER_RESTARTS`` times.
+    """The function of an :class:`ExternalObjective`: one process speaking
+    the line protocol, started on first use in whichever process calls it.
+    A lock guards its pipe, so threads never mix up replies.  A pickled
+    worker unpickles to the one worker its process keeps, closed when that
+    process exits: a pool starts one external process per pool process,
+    not one per trial.
     """
 
-    def __init__(self, command: str, timeout: float):
-        self.command = command
-        self.timeout = timeout
-        self.restarts_left = WORKER_RESTARTS
-        self._start()
+    def __init__(self, command: str, bounds: BoundsSpec, timeout: float,
+                 token: tuple = ()):
+        self.command, self.bounds, self.timeout = command, bounds, timeout
+        self.token = token or (os.getpid(), next(_worker_ids))
+        self.starts_left = 1 + WORKER_RESTARTS
+        self.proc = None
+        self._lock = threading.Lock()
 
-    def _start(self) -> None:
-        self.proc = subprocess.Popen(
-            self.command, shell=True, stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=False)
-        self._buffer = b""
+    def __reduce__(self):
+        return _process_worker, (self.command, self.bounds, self.timeout,
+                                 self.token)
 
-    def _end(self) -> None:
-        """Kill the process, so a late reply never answers a later request."""
-        self.proc.kill()
-        self.proc.wait()
-        for pipe in (self.proc.stdin, self.proc.stdout):
-            try:
-                pipe.close()
-            except OSError:
-                pass
+    def _stop(self) -> None:
+        """End the process (SIGTERM, SIGKILL after 2 s); close both pipes."""
+        proc = self.proc
+        with suppress(OSError):  # unflushed bytes for a process that is gone
+            proc.stdin.close()
+        proc.terminate()
+        with suppress(subprocess.TimeoutExpired):
+            proc.wait(timeout=2.0)
+        proc.kill()
+        proc.wait()  # gone, so its late reply can never answer a later request
+        proc.stdout.close()
 
     def _read_line(self) -> bytes | None:
+        """The next reply line, or None if it is not complete in time."""
         fd = self.proc.stdout.fileno()
+        deadline = time.monotonic() + self.timeout
         while b"\n" not in self._buffer:
-            ready, _, _ = select.select([fd], [], [], self.timeout)
-            if not ready:
-                return None
-            chunk = os.read(fd, 65536)
+            wait = max(deadline - time.monotonic(), 0.0)
+            ready = select.select([fd], [], [], wait)[0]
+            chunk = os.read(fd, 65536) if ready else b""
             if not chunk:
                 return None
             self._buffer += chunk
         line, self._buffer = self._buffer.split(b"\n", 1)
         return line
 
-    def evaluate(self, user_point: np.ndarray) -> float:
-        if self.proc.poll() is not None:
-            if not self.restarts_left:
-                return math.nan
-            self.restarts_left -= 1
-            self._end()  # closes the dead process's pipes
-            self._start()
-        request = " ".join(repr(float(v)) for v in user_point) + "\n"
-        try:
-            self.proc.stdin.write(request.encode())
-            self.proc.stdin.flush()
-        except (BrokenPipeError, OSError):
-            self._end()
-            return math.nan
-        line = self._read_line()
-        if line is None:
-            self._end()
-            return math.nan
-        try:
-            return float(line.strip())
-        except ValueError:
-            return math.nan
-
-    def close(self):
-        if self.proc.poll() is None:
+    def __call__(self, x_norm: np.ndarray) -> bytes | None:
+        """The reply line, which the handle parses, or None on failure."""
+        user = denormalize(x_norm, self.bounds).tolist()
+        request = (" ".join(map(repr, user)) + "\n").encode()
+        with self._lock:
+            if self.proc is None or self.proc.poll() is not None:
+                if not self.starts_left:
+                    return None
+                self.starts_left -= 1
+                if self.proc is not None:
+                    self._stop()  # releases the dead process's pipes
+                self.proc = subprocess.Popen(
+                    self.command, shell=True, stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+                self._buffer = b""
             try:
-                self.proc.stdin.close()
+                self.proc.stdin.write(request)
+                self.proc.stdin.flush()
+                line = self._read_line()
             except OSError:
-                pass
-            self.proc.terminate()
-            try:
-                self.proc.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:
-                self.proc.kill()
+                line = None
+            if line is None:
+                self._stop()
+            return line
+
+    def close(self) -> None:
+        with self._lock:
+            if self.proc is not None:
+                self._stop()
+
+
+_worker_ids = itertools.count()
+_PROCESS_WORKERS: dict[tuple, _Worker] = {}  # by (process id, token)
+
+
+def _process_worker(command, bounds, timeout, token) -> _Worker:
+    """The worker this process keeps for ``token``; keyed by process id too,
+    so a forked process never shares its parent's external process."""
+    key = (os.getpid(), token)
+    if key not in _PROCESS_WORKERS:
+        from multiprocessing.util import Finalize
+        worker = _PROCESS_WORKERS[key] = _Worker(command, bounds, timeout,
+                                                 token)
+        Finalize(worker, worker.close, exitpriority=0)
+    return _PROCESS_WORKERS[key]
 
 
 class ExternalObjective(ObjectiveHandle):
-    """Objective evaluated by worker subprocesses over pipes.
+    """Objective evaluated by an external worker process over pipes.
 
     Protocol: one request line of space-separated decimal user-unit
     coordinates; one reply line holding a single decimal value.  A dead,
-    silent or unparsable worker yields NaN (flagged), never an exception,
-    so the optimizer keeps running.  A worker that dies or misses
-    ``timeout`` is killed and restarted on its next request, at most
-    ``WORKER_RESTARTS`` times; after that its share of evaluations is NaN.
+    silent or unparsable worker yields NaN (flagged), never an exception.
+    A worker that dies or misses ``timeout`` is killed and restarted on its
+    next request, at most ``WORKER_RESTARTS`` times; after that its
+    evaluations are NaN.  The handle pickles: each trial process starts its
+    own worker, and ``workers`` caps how many of them evaluate at once.
     """
 
     def __init__(self, command: str, bounds: BoundsSpec,
                  timeout: float = 30.0, workers: int = 1):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers  # trials may run in as many threads at once
-        self._workers = [_Worker(command, timeout) for _ in range(workers)]
-        self._free: list[_Worker] = list(self._workers)
-        self._cond = threading.Condition()
-
-        def call(x_norm):
-            user = denormalize(x_norm, bounds)
-            with self._cond:
-                while not self._free:
-                    self._cond.wait()
-                worker = self._free.pop()
-            try:
-                return worker.evaluate(user)
-            finally:
-                with self._cond:
-                    self._free.append(worker)
-                    self._cond.notify()
-
-        super().__init__(bounds.dim, call, bounds, name=f"external:{command}")
+        self.workers = workers
+        super().__init__(bounds.dim, _Worker(command, bounds, timeout),
+                         bounds, name=f"external:{command}")
 
     def close(self):
-        for w in self._workers:
-            w.close()
+        self._func.close()
 
 
 def external_objective(command: str, bounds: BoundsSpec,

@@ -7,17 +7,16 @@ then runs the four stages under a fixed evaluation budget.  After each
 temperature step all trial stacks merge into one, whose positions become the
 guess points of the next, cooler step.
 
-With ``threads = N > 1`` up to N trials of a step run at once.  Built-in and
-other picklable in-process objectives run them in N worker processes (one
-pool per run, reused across steps); an unpicklable in-process objective,
-such as a lambda, fails fast with ``ValueError``.  Threads are used only for
-an :class:`ExternalObjective` with ``workers > 1``, whose evaluations wait
-on pipes that cannot cross processes; with a single worker its trials run
-in turn.
+With ``threads = N > 1`` up to N trials of a step run at once, in worker
+processes (one pool per run, reused across steps).  The objective must
+therefore pickle; an unpicklable in-process objective, such as a lambda,
+fails fast with ``ValueError``.  An :class:`ExternalObjective` pickles too:
+each pool process starts its own external worker, and its ``workers`` caps
+the pool, so that at most that many external processes evaluate at once.
 
 Each trial counts its own evaluations and flags (evaluations that returned
 no finite number) on its :class:`StageRecord` entries, which come back with
-the trial's result from whichever thread or process ran it.
+the trial's result from whichever process ran it.
 
 ``eval_index`` numbers evaluations in run order as if the trials had run in
 turn: a trial stamps its own evaluation count, and after each step every
@@ -188,20 +187,17 @@ def _run_one_trial(*args):
 
 
 def trial_pool(config: RunConfig, objective: ObjectiveHandle):
-    """The executor that runs a step's trials at once, or None for in turn.
+    """The process pool that runs a step's trials at once, or None for in turn.
 
-    Worker processes for in-process objectives, which must therefore
-    pickle; threads only for an :class:`ExternalObjective` with several
-    workers.  The caller shuts the executor down.
+    It has ``min(threads, trials_per_temperature)`` processes, and no more
+    than an external objective's ``workers``.  The objective must pickle.
+    The caller shuts the pool down.
     """
-    workers = min(config.threads, config.trials_per_temperature)
-    if workers < 2:
-        return None
+    processes = min(config.threads, config.trials_per_temperature)
     if isinstance(objective, ExternalObjective):
-        if objective.workers < 2:
-            return None  # one pipe: its trials could only take turns
-        from concurrent.futures import ThreadPoolExecutor
-        return ThreadPoolExecutor(max_workers=workers)
+        processes = min(processes, objective.workers)
+    if processes < 2:
+        return None
     try:
         pickle.dumps(objective)
     except (pickle.PicklingError, AttributeError, TypeError) as exc:
@@ -211,7 +207,7 @@ def trial_pool(config: RunConfig, objective: ObjectiveHandle):
             f"level (not a lambda or nested function), or use threads=1"
         ) from exc
     from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=workers)
+    return ProcessPoolExecutor(max_workers=processes)
 
 
 def _shift_eval_index(points: list[RatedPoint], offset: int) -> list[RatedPoint]:

@@ -307,6 +307,58 @@ class TestExternalObjective:
         finally:
             h.close()
 
+    def test_timeout_bounds_the_whole_reply(self, tmp_path):
+        # a worker that writes its first reply a byte at a time never goes
+        # silent for a whole timeout, but misses it by far in total
+        script = tmp_path / "w.py"
+        marker = tmp_path / "dribbled"
+        script.write_text(textwrap.dedent(f"""\
+            import os, sys, time
+            for line in sys.stdin:
+                xs = [float(v) for v in line.split()]
+                reply = repr(sum(x * x for x in xs)) + "\\n"
+                if not os.path.exists({str(marker)!r}):
+                    open({str(marker)!r}, "w").close()
+                    for ch in reply.rjust(12, "0"):
+                        sys.stdout.write(ch)
+                        sys.stdout.flush()
+                        time.sleep(0.2)
+                else:
+                    sys.stdout.write(reply)
+                    sys.stdout.flush()
+            """))
+        h = obj.external_objective(f"{sys.executable} {script}",
+                                   BoundsSpec.unit(1), timeout=0.5)
+        try:
+            started = time.monotonic()
+            assert math.isnan(h.evaluate(np.array([0.5])))
+            assert time.monotonic() - started < 1.5
+            # a restarted worker answers the next request
+            assert h.evaluate(np.array([0.7])) == 0.7 * 0.7
+        finally:
+            h.close()
+
+    def test_close_releases_both_pipes(self, tmp_path):
+        script = tmp_path / "w.py"
+        script.write_text(textwrap.dedent("""\
+            import sys
+            xs = [float(v) for v in sys.stdin.readline().split()]
+            print(sum(x * x for x in xs), flush=True)
+            if xs[0] < 0.5:
+                sys.stdin.read()  # runs until its input ends
+            """))
+        for point, running in ((0.25, True), (0.75, False)):
+            h = obj.external_objective(f"{sys.executable} {script}",
+                                       BoundsSpec.unit(1), timeout=10.0)
+            assert h.evaluate(np.array([point])) == point * point
+            proc = h._func.proc
+            if not running:
+                proc.wait(timeout=10.0)
+            assert (proc.poll() is None) == running
+            h.close()
+            assert proc.returncode is not None
+            assert proc.stdin.closed and proc.stdout.closed
+
     def test_restarts_are_bounded(self, tmp_path):
         script = tmp_path / "w.py"
         starts = tmp_path / "starts.log"

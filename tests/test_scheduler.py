@@ -1,7 +1,10 @@
 import math
+import os
+import subprocess
 import sys
-import threading
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from swarmstack.linmin import DEFAULT_EVAL_CAP
 from swarmstack.objective import (ObjectiveHandle, external_objective,
                                   make_benchmark)
 from swarmstack.stages import AlgorithmOptions
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def nan_on_left_sphere(x):
@@ -36,6 +41,84 @@ def small_config(handle, **overrides):
                     stack_capacity=20, master_seed=11)
     defaults.update(overrides)
     return sch.RunConfig(**defaults)
+
+
+def pid_logging_worker(tmp_path, log):
+    """Command of a sphere worker that logs its pid and parent pid when it
+    starts and with each request.  The shell execs it, so the parent is the
+    process that started the worker."""
+    script = tmp_path / "pid_worker.py"
+    script.write_text(textwrap.dedent("""\
+        import os, sys
+        log = open(sys.argv[1], "a", buffering=1)
+        pids = f"{os.getpid()} {os.getppid()}\\n"
+        log.write("start " + pids)
+        for line in sys.stdin:
+            log.write("request " + pids)
+            xs = [float(v) for v in line.split()]
+            print(repr(sum(x * x for x in xs)), flush=True)
+        """))
+    return f"exec {sys.executable} {script} {log}"
+
+
+def read_pid_log(log):
+    """(pid, parent pid) of every start line and every request line."""
+    entries = {"start": [], "request": []}
+    for line in log.read_text().splitlines():
+        kind, pid, ppid = line.split()
+        entries[kind].append((int(pid), int(ppid)))
+    return entries["start"], entries["request"]
+
+
+def running(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+SPAWNED_RUNS = textwrap.dedent("""\
+    import hashlib, multiprocessing, shlex, sys
+    from swarmstack import scheduler as sch
+    from swarmstack.objective import external_objective, make_benchmark
+
+    SPHERE = ("import sys; [print(repr(sum(float(v) ** 2 for v in line.split()"
+              ")), flush=True) for line in sys.stdin]")
+
+    def digest(handle, threads):
+        cfg = sch.RunConfig(dim=handle.dim, bounds=handle.bounds,
+                            trials_per_temperature=2, evals_per_trial=300,
+                            stack_capacity=12, master_seed=4,
+                            temperatures=(1.0, 0.0), threads=threads,
+                            collect_history=True)
+        stack, diag = sch.run_optimization(cfg, handle)
+        h = hashlib.sha256()
+        for p in stack.entries + diag.swarm_history:
+            h.update(repr((p.value, p.eval_index)).encode())
+            h.update(p.position.tobytes())
+        for r in diag.records:
+            h.update(repr((r.stage, r.trial_index, r.evals_used,
+                           r.flagged_evals, r.best_value,
+                           r.metrics)).encode())
+        return h.hexdigest()
+
+    if __name__ == "__main__":
+        multiprocessing.set_start_method("spawn")
+        print(multiprocessing.get_start_method())
+        for threads in (1, 2):
+            print(digest(make_benchmark("ackley", 2, bounds_style="offset"),
+                         threads))
+        command = f"{shlex.quote(sys.executable)} -c {shlex.quote(SPHERE)}"
+        bounds = make_benchmark("sphere", 2).bounds
+        for threads in (1, 2):
+            handle = external_objective(command, bounds, timeout=30.0,
+                                        workers=2)
+            try:
+                print(digest(handle, threads))
+            finally:
+                handle.close()
+    """)
 
 
 class TestInitialGuesses:
@@ -270,50 +353,55 @@ class TestRunOptimization:
             sch.run_optimization(cfg, h)
         assert calls == []
 
-    def test_external_worker_pool_runs_trials_in_threads(self, tmp_path,
-                                                         monkeypatch):
-        script = tmp_path / "w.py"
-        script.write_text("import sys\n"
-                          "log = open(sys.argv[1], 'a', buffering=1)\n"
-                          "for line in sys.stdin:\n"
-                          "    log.write(line)\n"
-                          "    xs = [float(v) for v in line.split()]\n"
-                          "    print(repr(sum(x * x for x in xs)), flush=True)\n")
+    def test_external_trials_run_in_worker_processes(self, tmp_path):
         bounds = BoundsSpec.from_pairs([(-2.0, 3.0)] * 2)
-        threads_seen = []
-        original = sch.run_trial
 
-        def spy(*args):
-            threads_seen.append(threading.current_thread()
-                                is not threading.main_thread())
-            return original(*args)
-
-        monkeypatch.setattr(sch, "run_trial", spy)
-
-        def run(threads):
+        def run(threads, workers):
             log = tmp_path / f"requests-{threads}.log"
-            h = external_objective(f"{sys.executable} {script} {log}", bounds,
-                                   timeout=10.0, workers=2)
+            h = external_objective(pid_logging_worker(tmp_path, log), bounds,
+                                   timeout=10.0, workers=workers)
             try:
                 cfg = sch.RunConfig(dim=2, bounds=bounds,
-                                    trials_per_temperature=2,
+                                    trials_per_temperature=4,
                                     evals_per_trial=200, stack_capacity=12,
                                     master_seed=8, temperatures=(1.0, 0.0),
                                     threads=threads, collect_history=True)
                 stack, diag = sch.run_optimization(cfg, h)
-                # the workers saw as many requests as the trials counted
-                assert len(log.read_text().splitlines()) == \
-                       diag.total_evaluations
-                return (rated(stack.entries), rated(diag.swarm_history),
-                        diag.total_evaluations)
+                starts, requests = read_pid_log(log)
+                # no external process outlives the run's trial processes
+                if threads > 1:
+                    assert not [pid for pid, _ in starts if running(pid)]
             finally:
                 h.close()
+            # the workers saw as many requests as the trials counted
+            assert len(requests) == diag.total_evaluations
+            assert set(requests) == set(starts)
+            outcome = (rated(stack.entries), rated(diag.swarm_history),
+                       diag.total_evaluations)
+            return outcome, starts
 
-        serial = run(1)
-        assert not any(threads_seen)
-        threads_seen.clear()
-        assert run(2) == serial
-        assert threads_seen and all(threads_seen)
+        # trials in turn start one process in this one, whatever `workers`
+        serial, serial_starts = run(1, workers=3)
+        assert [ppid for _, ppid in serial_starts] == [os.getpid()]
+        threaded, threaded_starts = run(2, workers=2)
+        assert threaded == serial
+        # at most `workers` processes, each started by a trial process
+        assert 1 <= len(threaded_starts) <= 2
+        assert os.getpid() not in {ppid for _, ppid in threaded_starts}
+
+    def test_spawned_trial_processes_reproduce_the_serial_run(self):
+        # a pool started by spawn re-imports the package and unpickles the
+        # objective in each process, as Python 3.14's default forkserver does
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        out = subprocess.run([sys.executable, "-c", SPAWNED_RUNS], env=env,
+                             capture_output=True, text=True, timeout=300,
+                             check=True).stdout.splitlines()
+        assert out[0] == "spawn"
+        assert len(out) == 5
+        for serial, threaded in (out[1:3], out[3:5]):
+            assert threaded == serial
 
     def test_constant_objective_fills_stack_distinctly(self):
         bounds = BoundsSpec.unit(2)

@@ -54,6 +54,6 @@ def test_stack_digest_is_repeatable_and_thread_independent(tmp_path):
     threads2 = run_script("stack_digest.py", *args, "--threads", "2",
                           cwd=tmp_path).stdout
     lines = first.splitlines()
-    assert len(lines) == 6
+    assert len(lines) == 7
     assert all(len(line.split()[1]) == 64 for line in lines)
     assert first == again == threads1 == threads2
