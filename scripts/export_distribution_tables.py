@@ -49,9 +49,9 @@ def main(argv=None):
     draws = np.array([D.sample_twin_peaks(state, tp, lo, hi)
                       for _ in range(args.n)])
     from scipy.integrate import quad
-    mass = quad(lambda x: D.twin_peaks_pdf(x, tp), lo, hi)[0]
+    mass = quad(lambda x: D.mixture_pdf(x, tp), lo, hi)[0]
     dump(out / "twin_peaks.tsv", draws,
-         lambda x: D.twin_peaks_pdf(x, tp) / mass, lo, hi)
+         lambda x: D.mixture_pdf(x, tp) / mass, lo, hi)
 
     notch = D.NotchParams(tp)
     state = R.seed(args.seed, 1)
@@ -65,10 +65,10 @@ def main(argv=None):
     center = 0.3
     draws = np.array([D.sample_fat_tail3(state, ft, center, 0.0, 1.0)
                       for _ in range(args.n)])
-    mass = quad(lambda x: D.fat_tail3_pdf(x - center, ft), 0.0, 1.0,
+    mass = quad(lambda x: D.mixture_pdf(x - center, ft), 0.0, 1.0,
                 limit=400)[0]
     dump(out / "fat_tail3.tsv", draws,
-         lambda x: D.fat_tail3_pdf(x - center, ft) / mass, 0.0, 1.0)
+         lambda x: D.mixture_pdf(x - center, ft) / mass, 0.0, 1.0)
 
     rate = recombine_rate(t)
     state = R.seed(args.seed, 3)

@@ -23,8 +23,8 @@ from swarmstack import (AlgorithmOptions, RunConfig, external_objective,
 
 TRIALS = 2  # per temperature, so a run with threads > 1 uses a pool
 DEFAULTS = AlgorithmOptions()
-# sphere served over the line protocol by a one-line worker process, with
-# as many workers as trials
+# sphere served over the line protocol by a one-line worker process; with
+# threads > 1 each trial process starts its own
 EXTERNAL_SPHERE = "external_sphere"
 SPHERE_WORKER = f"{shlex.quote(sys.executable)} -c " + shlex.quote(
     "import sys; [print(repr(sum(float(v) ** 2 for v in line.split())), "
@@ -56,7 +56,7 @@ def run_digest(name: str, dim: int, bounds_style: str, seed: int,
                options: AlgorithmOptions = DEFAULTS) -> str:
     if name == EXTERNAL_SPHERE:
         bounds = make_benchmark("sphere", dim, bounds_style=bounds_style).bounds
-        handle = external_objective(SPHERE_WORKER, bounds, workers=TRIALS)
+        handle = external_objective(SPHERE_WORKER, bounds)
     else:
         handle = make_benchmark(name, dim, bounds_style=bounds_style,
                                 noise_seed=seed)

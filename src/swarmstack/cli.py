@@ -69,7 +69,6 @@ class CliConfig:
     bounds_style: str = "conventional"
     external_cmd: str | None = None
     timeout: float = 30.0
-    workers: int = 1
     temperatures: tuple[float, ...] = DEFAULT_TEMPERATURES
     trials: int = 10
     evals_per_trial: int = 10_000
@@ -171,11 +170,10 @@ def build_run(config: CliConfig) -> tuple[RunConfig, ObjectiveHandle]:
         if bounds is None:
             raise ValueError("external_cmd requires explicit bounds")
         handle = external_objective(config.external_cmd, bounds,
-                                    timeout=config.timeout,
-                                    workers=config.workers)
+                                    timeout=config.timeout)
     elif bounds is not None:
-        handle = make_benchmark_with_bounds(config.function, config.dim,
-                                            bounds, noise_seed=config.seed)
+        handle = make_benchmark_with_bounds(config.function, bounds,
+                                            noise_seed=config.seed)
     else:
         handle = make_benchmark(config.function, config.dim,
                                 bounds_style=config.bounds_style,

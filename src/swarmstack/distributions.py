@@ -109,11 +109,8 @@ def _mixture(p) -> list[tuple[float, float, float]]:
             (p.c3 / total, 0.0, p.s * p.k2)]
 
 
-def twin_peaks_pdf(x: float, p: TwinPeaksParams) -> float:
-    return sum(w * gauss_pdf(x, m, sd) for w, m, sd in _mixture(p) if w > 0)
-
-
-def fat_tail3_pdf(x: float, p: FatTail3Params) -> float:
+def mixture_pdf(x: float, p: TwinPeaksParams | FatTail3Params) -> float:
+    """Density at ``x`` of the twin_peaks or fat_tail3 mixture ``p``."""
     return sum(w * gauss_pdf(x, m, sd) for w, m, sd in _mixture(p) if w > 0)
 
 
@@ -155,7 +152,7 @@ def notch_area(np_: NotchParams, lo: float, hi: float) -> float:
     base = np_.base
 
     def f(x):
-        return abs(x) ** p * twin_peaks_pdf(x, base)
+        return abs(x) ** p * mixture_pdf(x, base)
 
     pieces = []
     if lo < 0.0 < hi:
@@ -170,7 +167,7 @@ def notch_twin_peaks_pdf(x: float, np_: NotchParams, lo: float, hi: float) -> fl
     if x < lo or x > hi:
         return 0.0
     area = notch_area(np_, lo, hi)
-    return abs(x) ** np_.notch_exponent * twin_peaks_pdf(x, np_.base) / area
+    return abs(x) ** np_.notch_exponent * mixture_pdf(x, np_.base) / area
 
 
 def _sample_truncated_mixture(state: RngState, components, lo: float,

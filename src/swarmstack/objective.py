@@ -18,6 +18,7 @@ import itertools
 import math
 import os
 import select
+import signal
 import subprocess
 import threading
 import time
@@ -38,14 +39,13 @@ WORKER_RESTARTS = 3
 
 
 class ObjectiveHandle:
-    """Callable objective over normalized space; a non-number becomes NaN."""
+    """Callable objective over normalized space; a non-number becomes NaN.
+    Its dimension is that of ``bounds``."""
 
-    def __init__(self, dim: int, func: Callable[[np.ndarray], float],
+    def __init__(self, func: Callable[[np.ndarray], float],
                  bounds: BoundsSpec, name: str = "objective",
                  known_optima: Sequence[np.ndarray] = ()):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        self.dim = dim
+        self.dim = bounds.dim
         self.bounds = bounds
         self.name = name
         self.known_optima = [np.asarray(o, dtype=float) for o in known_optima]
@@ -179,39 +179,40 @@ def _base_benchmark(name: str) -> tuple:
     return entry
 
 
-def _benchmark_handle(name: str, bounds: BoundsSpec,
-                      noise_seed: int) -> ObjectiveHandle:
-    func = BenchmarkFunction(name, bounds, noise_seed)
-    return ObjectiveHandle(bounds.dim, func, bounds, name=name,
-                           known_optima=func.known_optima())
-
-
 def make_benchmark(name: str, dim: int, bounds_style: str = "conventional",
                    noise_seed: int = 0) -> ObjectiveHandle:
     """Build a named benchmark objective over the unit cube.
 
     ``bounds_style``: "conventional" uses the published domain; "offset"
     keeps the domain width but shifts it so the optimum lands at normalized
-    coordinate 0.37 on every axis.
+    coordinate 0.37 on every axis.  Schwefel has no offset style.
     """
     if dim < 1:
         raise ValueError(f"dim {dim} too small for benchmark {name!r}")
     if bounds_style not in ("conventional", "offset"):
         raise ValueError(f"unknown bounds_style {bounds_style!r}")
     if name == "twin_valleys":
-        return _benchmark_handle(name, BoundsSpec.unit(dim), noise_seed)
+        return make_benchmark_with_bounds(name, BoundsSpec.unit(dim),
+                                          noise_seed)
     _, half_width, opt = _base_benchmark(name)
     if bounds_style == "conventional":
         lower = np.full(dim, -half_width)
         upper = np.full(dim, half_width)
+    elif name == "schwefel":
+        raise ValueError(
+            "schwefel has no offset bounds: a shifted box leaves its "
+            "published domain [-500, 500], where it falls below its optimum "
+            "value 0; use the conventional bounds, whose optimum already "
+            "sits at normalized 0.92, away from the initial guesses")
     else:
         width = 2.0 * half_width
         lower = np.full(dim, opt - _OFFSET_FRACTION * width)
         upper = lower + width
-    return _benchmark_handle(name, BoundsSpec(lower, upper), noise_seed)
+    return make_benchmark_with_bounds(name, BoundsSpec(lower, upper),
+                                      noise_seed)
 
 
-def make_benchmark_with_bounds(name: str, dim: int, bounds: BoundsSpec,
+def make_benchmark_with_bounds(name: str, bounds: BoundsSpec,
                                noise_seed: int = 0) -> ObjectiveHandle:
     """Benchmark objective over caller-supplied user-unit bounds.
 
@@ -219,9 +220,9 @@ def make_benchmark_with_bounds(name: str, dim: int, bounds: BoundsSpec,
     only relabel its user units; the other functions are composed with the
     denormalization onto the given hyper-block.
     """
-    if bounds.dim != dim:
-        raise ValueError(f"bounds dim {bounds.dim} != dim {dim}")
-    return _benchmark_handle(name, bounds, noise_seed)
+    func = BenchmarkFunction(name, bounds, noise_seed)
+    return ObjectiveHandle(func, bounds, name=name,
+                           known_optima=func.known_optima())
 
 
 class _Worker:
@@ -246,14 +247,18 @@ class _Worker:
                                  self.token)
 
     def _stop(self) -> None:
-        """End the process (SIGTERM, SIGKILL after 2 s); close both pipes."""
-        proc = self.proc
+        """End the process group (SIGTERM, SIGKILL after 2 s); close both
+        pipes.  The group holds the worker itself when a shell runs it as a
+        child instead of exec-ing it."""
+        proc, self.proc = self.proc, None
         with suppress(OSError):  # unflushed bytes for a process that is gone
             proc.stdin.close()
-        proc.terminate()
+        with suppress(ProcessLookupError):  # the whole group has ended
+            os.killpg(proc.pid, signal.SIGTERM)
         with suppress(subprocess.TimeoutExpired):
             proc.wait(timeout=2.0)
-        proc.kill()
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()  # gone, so its late reply can never answer a later request
         proc.stdout.close()
 
@@ -284,7 +289,8 @@ class _Worker:
                     self._stop()  # releases the dead process's pipes
                 self.proc = subprocess.Popen(
                     self.command, shell=True, stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+                    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                    start_new_session=True)  # its own group, for _stop
                 self._buffer = b""
             try:
                 self.proc.stdin.write(request)
@@ -326,22 +332,19 @@ class ExternalObjective(ObjectiveHandle):
     silent or unparsable worker yields NaN (flagged), never an exception.
     A worker that dies or misses ``timeout`` is killed and restarted on its
     next request, at most ``WORKER_RESTARTS`` times; after that its
-    evaluations are NaN.  The handle pickles: each trial process starts its
-    own worker, and ``workers`` caps how many of them evaluate at once.
+    evaluations are NaN.  The handle pickles, so each trial process starts
+    its own worker; :meth:`close` ends the worker of the calling process.
     """
 
     def __init__(self, command: str, bounds: BoundsSpec,
-                 timeout: float = 30.0, workers: int = 1):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        super().__init__(bounds.dim, _Worker(command, bounds, timeout),
-                         bounds, name=f"external:{command}")
+                 timeout: float = 30.0):
+        super().__init__(_Worker(command, bounds, timeout), bounds,
+                         name=f"external:{command}")
 
     def close(self):
         self._func.close()
 
 
 def external_objective(command: str, bounds: BoundsSpec,
-                       timeout: float = 30.0, workers: int = 1) -> ExternalObjective:
-    return ExternalObjective(command, bounds, timeout=timeout, workers=workers)
+                       timeout: float = 30.0) -> ExternalObjective:
+    return ExternalObjective(command, bounds, timeout=timeout)

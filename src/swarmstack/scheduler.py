@@ -8,11 +8,9 @@ temperature step all trial stacks merge into one, whose positions become the
 guess points of the next, cooler step.
 
 With ``threads = N > 1`` up to N trials of a step run at once, in worker
-processes (one pool per run, reused across steps).  The objective must
-therefore pickle; an unpicklable in-process objective, such as a lambda,
-fails fast with ``ValueError``.  An :class:`ExternalObjective` pickles too:
-each pool process starts its own external worker, and its ``workers`` caps
-the pool, so that at most that many external processes evaluate at once.
+processes (one pool per run, reused across steps), whatever the objective.
+The objective must therefore pickle; an unpicklable in-process objective,
+such as a lambda, fails fast with ``ValueError``.
 
 Each trial counts its own evaluations and flags (evaluations that returned
 no finite number) on its :class:`StageRecord` entries, which come back with
@@ -37,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .domain import BoundsSpec
-from .objective import ExternalObjective, ObjectiveHandle
+from .objective import ObjectiveHandle
 from .rng import seed
 from .stages import STAGE_NAMES, STAGES, AlgorithmOptions, TrialContext
 from .swarm import (RatedPoint, Stack, StackMetrics, default_ema_alpha,
@@ -189,13 +187,10 @@ def _run_one_trial(*args):
 def trial_pool(config: RunConfig, objective: ObjectiveHandle):
     """The process pool that runs a step's trials at once, or None for in turn.
 
-    It has ``min(threads, trials_per_temperature)`` processes, and no more
-    than an external objective's ``workers``.  The objective must pickle.
-    The caller shuts the pool down.
+    It has ``min(threads, trials_per_temperature)`` processes.  The objective
+    must pickle.  The caller shuts the pool down.
     """
     processes = min(config.threads, config.trials_per_temperature)
-    if isinstance(objective, ExternalObjective):
-        processes = min(processes, objective.workers)
     if processes < 2:
         return None
     try:

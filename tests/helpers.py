@@ -1,6 +1,7 @@
-"""Shared statistical utilities for the test suite."""
+"""Shared statistical utilities, oracles and objectives for the test suite."""
 
 import math
+import os
 
 import numpy as np
 from scipy import integrate, stats
@@ -76,6 +77,16 @@ class CountingFunction:
         self.calls += 1
         self.nonfinite += not math.isfinite(value)
         return value
+
+
+def running(pid):
+    """Whether process ``pid`` runs: it exists and is not a zombie that
+    waits for its parent, or an adopting init, to reap it."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class BruteForceStack:
@@ -158,3 +169,18 @@ def reference_run_proximal(ctx, budget):
         if used == cycle_start:
             break
     return ctx
+
+
+def raising_sphere(x):
+    """Sphere whose right edge raises ZeroDivisionError, a bug in Python."""
+    if x[0] > 0.9:
+        return 1 / 0
+    return float(np.dot(x, x))
+
+
+def exiting_sphere(x):
+    """Sphere whose right edge ends its process at once, as a crash would.
+    Call it only in a trial process."""
+    if x[0] > 0.9:
+        os._exit(3)
+    return float(np.dot(x, x))

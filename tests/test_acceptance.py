@@ -55,7 +55,7 @@ def default_sphere_run():
     config = RunConfig(dim=11, bounds=handle.bounds, master_seed=2026)
     calls = CountingFunction(handle.evaluate)
     stack, diag = run_optimization(
-        config, ObjectiveHandle(11, calls, handle.bounds))
+        config, ObjectiveHandle(calls, handle.bounds))
     return config, handle, stack, diag, calls
 
 
@@ -105,9 +105,9 @@ def test_criterion_3_distribution_laws():
     state = R.seed(9001, 0)
     draws = np.array([D.sample_twin_peaks(state, tp, -0.6, 1.0)
                       for _ in range(n)])
-    mass = integrate.quad(lambda x: D.twin_peaks_pdf(x, tp), -0.6, 1.0)[0]
+    mass = integrate.quad(lambda x: D.mixture_pdf(x, tp), -0.6, 1.0)[0]
     checks.append(("twinPeaks", chi_square_vs_pdf(
-        draws, lambda x: D.twin_peaks_pdf(x, tp) / mass, -0.6, 1.0)))
+        draws, lambda x: D.mixture_pdf(x, tp) / mass, -0.6, 1.0)))
 
     notch = D.NotchParams(tp)
     state = R.seed(9001, 1)
@@ -122,10 +122,10 @@ def test_criterion_3_distribution_laws():
     state = R.seed(9001, 2)
     draws = np.array([D.sample_fat_tail3(state, ft, 0.3, 0.0, 1.0)
                       for _ in range(n)])
-    ft_mass = integrate.quad(lambda x: D.fat_tail3_pdf(x - 0.3, ft), 0, 1,
+    ft_mass = integrate.quad(lambda x: D.mixture_pdf(x - 0.3, ft), 0, 1,
                              limit=400)[0]
     checks.append(("fatTail3", chi_square_vs_pdf(
-        draws, lambda x: D.fat_tail3_pdf(x - 0.3, ft) / ft_mass, 0.0, 1.0)))
+        draws, lambda x: D.mixture_pdf(x - 0.3, ft) / ft_mass, 0.0, 1.0)))
 
     rate = math.log(2)
     state = R.seed(9001, 3)
@@ -253,7 +253,7 @@ def test_criterion_6_end_to_end():
     sphere_best = []
     for seed in range(10):
         bounds = BoundsSpec.from_pairs([(-0.37, 0.63)] * 11)
-        handle = make_benchmark_with_bounds("sphere", 11, bounds)
+        handle = make_benchmark_with_bounds("sphere", bounds)
         config = RunConfig(dim=11, bounds=bounds, evals_per_trial=1000,
                            master_seed=seed)
         stack, diag = run_optimization(config, handle)

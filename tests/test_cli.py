@@ -10,8 +10,8 @@ from swarmstack.swarm import RatedPoint
 
 README_KEYS = {
     "dim", "bounds", "function", "bounds_style", "external_cmd", "timeout",
-    "workers", "temperatures", "trials", "evals_per_trial", "stack_capacity",
-    "seed", "tol", "threads", "out_dir", "emit_projections",
+    "temperatures", "trials", "evals_per_trial", "stack_capacity", "seed",
+    "tol", "threads", "out_dir", "emit_projections",
     "projection_planes", "linmin_on_improvement", "mutation_prob",
     "notch_exponent", "fatTail3.c1", "fatTail3.c2", "fatTail3.c3",
     "fatTail3.k1", "fatTail3.k2", "fatTail3.s_divisor", "r_eq.base",
@@ -52,6 +52,15 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=r"bad.cfg:1.*evals_per_trial"):
             cli.parse_config(str(f))
 
+    def test_workers_is_not_a_key(self, tmp_path, capsys):
+        # `threads` sizes the trial pool, external objectives included
+        with pytest.raises(ValueError, match="unknown key 'workers'"):
+            cli.parse_config(None, {"workers": "2"})
+        f = tmp_path / "run.cfg"
+        f.write_text("workers = 2\n")
+        assert cli.main(["--config", str(f)]) == 2
+        assert "unknown key 'workers'" in capsys.readouterr().err
+
     def test_missing_file(self):
         with pytest.raises(ValueError, match="not found"):
             cli.parse_config("/nonexistent/path.cfg")
@@ -66,7 +75,7 @@ class TestParseConfig:
         assert c.options.recombine_ratio_low_t == 4.0
 
     def test_recognized_keys_match_readme(self):
-        assert len(cli.CONFIG_KEYS) == 30
+        assert len(cli.CONFIG_KEYS) == 29
         assert set(cli.CONFIG_KEYS) == README_KEYS
 
     def test_every_option_is_a_key(self):
@@ -217,6 +226,14 @@ class TestRunCommand:
         assert "too small for benchmark 'rosenbrock'" in err
         assert not (tmp_path / "out").exists()
 
+    def test_schwefel_offset_bounds_fail(self, tmp_path, capsys):
+        rc = cli.main(["--function", "schwefel", "--bounds_style", "offset",
+                       "--trials", "1", "--evals_per_trial", "150",
+                       "--out_dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "schwefel" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_main_unknown_key_fails(self, tmp_path, capsys):
         f = tmp_path / "run.cfg"
         f.write_text("nonsense = 4\n")
@@ -334,7 +351,7 @@ class TestExternalThroughCli:
             "    print(reply, flush=True)\n")
         cfg = cli.parse_config(None, {
             "external_cmd": f"{_sys.executable} {worker}",
-            "dim": "2", "bounds": "-2:3", "trials": "2", "workers": "2",
+            "dim": "2", "bounds": "-2:3", "trials": "2",
             "threads": str(threads), "temperatures": "1, 0",
             "evals_per_trial": "200", "stack_capacity": "8",
             "seed": "3", "out_dir": str(tmp_path / "o")})

@@ -33,20 +33,20 @@ class TestTwinPeaksPdf:
         p = D.TwinPeaksParams(s=1.0, kt=1.1, q=0.3, ks=2.5)
         oracle = (0.7 * (scalar_gauss(0, -1.1, 1) + scalar_gauss(0, 1.1, 1)) / 2
                   + 0.3 * scalar_gauss(0, 0, 2.5))
-        assert D.twin_peaks_pdf(0.0, p) == pytest.approx(oracle, rel=1e-12)
-        assert D.twin_peaks_pdf(0.0, p) == pytest.approx(0.2003696, abs=1e-6)
+        assert D.mixture_pdf(0.0, p) == pytest.approx(oracle, rel=1e-12)
+        assert D.mixture_pdf(0.0, p) == pytest.approx(0.2003696, abs=1e-6)
 
     @given(st.floats(-10, 10))
     def test_even_function(self, x):
         p = D.TwinPeaksParams(s=0.7)
-        assert D.twin_peaks_pdf(x, p) == pytest.approx(D.twin_peaks_pdf(-x, p))
+        assert D.mixture_pdf(x, p) == pytest.approx(D.mixture_pdf(-x, p))
 
     def test_flat_top_when_kt_one_no_center(self):
         p = D.TwinPeaksParams(s=1.0, kt=1.0, q=0.0)
         h = 1e-4
-        f0 = D.twin_peaks_pdf(0.0, p)
-        d1 = (D.twin_peaks_pdf(h, p) - D.twin_peaks_pdf(-h, p)) / (2 * h)
-        d2 = (D.twin_peaks_pdf(h, p) - 2 * f0 + D.twin_peaks_pdf(-h, p)) / h**2
+        f0 = D.mixture_pdf(0.0, p)
+        d1 = (D.mixture_pdf(h, p) - D.mixture_pdf(-h, p)) / (2 * h)
+        d2 = (D.mixture_pdf(h, p) - 2 * f0 + D.mixture_pdf(-h, p)) / h**2
         assert abs(d1) < 1e-9
         assert abs(d2) < 1e-4
 
@@ -56,7 +56,7 @@ class TestTwinPeaksPdf:
         D.TwinPeaksParams(s=0.05, kt=0.9, q=0.5, ks=2.0),
     ])
     def test_normalizes_to_one(self, p):
-        total = integrate.quad(lambda x: D.twin_peaks_pdf(x, p),
+        total = integrate.quad(lambda x: D.mixture_pdf(x, p),
                                -40 * p.s * p.ks, 40 * p.s * p.ks, limit=300)[0]
         assert total == pytest.approx(1.0, abs=1e-4)
 
@@ -86,8 +86,8 @@ class TestSampleTwinPeaks:
         draws = np.array([D.sample_twin_peaks(st_, p, lo, hi)
                           for _ in range(100_000)])
         assert draws.min() >= lo and draws.max() <= hi
-        mass = integrate.quad(lambda x: D.twin_peaks_pdf(x, p), lo, hi)[0]
-        pv = chi_square_vs_pdf(draws, lambda x: D.twin_peaks_pdf(x, p) / mass,
+        mass = integrate.quad(lambda x: D.mixture_pdf(x, p), lo, hi)[0]
+        pv = chi_square_vs_pdf(draws, lambda x: D.mixture_pdf(x, p) / mass,
                                lo, hi)
         assert pv > 0.001
 
@@ -114,7 +114,7 @@ class TestNotchTwinPeaks:
     def test_area_matches_quad_oracle(self):
         area = D.notch_area(self.NP, -1.0, 1.0)
         ref = integrate.quad(
-            lambda x: abs(x) ** (1 / 6) * D.twin_peaks_pdf(x, self.NP.base),
+            lambda x: abs(x) ** (1 / 6) * D.mixture_pdf(x, self.NP.base),
             -1.0, 1.0, limit=400, points=[0.0])[0]
         assert abs(area - ref) / ref < 1e-6
 
@@ -130,7 +130,7 @@ class TestNotchTwinPeaks:
         xs = np.linspace(0.35, 1.0, 40)
         ratio = np.array([
             D.notch_twin_peaks_pdf(x, self.NP, -1.0, 1.0)
-            / D.twin_peaks_pdf(x, self.NP.base) for x in xs])
+            / D.mixture_pdf(x, self.NP.base) for x in xs])
         assert ratio.max() / ratio.min() < 1.25
 
     def test_sampler_matches_pdf(self):
@@ -155,23 +155,23 @@ class TestFatTail3:
     def test_even_function(self):
         p = D.FatTail3Params(s=0.02)
         for x in (0.0, 0.01, 0.3, 1.7):
-            assert D.fat_tail3_pdf(x, p) == pytest.approx(D.fat_tail3_pdf(-x, p))
+            assert D.mixture_pdf(x, p) == pytest.approx(D.mixture_pdf(-x, p))
 
     def test_degenerate_mixture_is_gaussian(self):
         p = D.FatTail3Params(c1=1.0, c2=0.0, c3=0.0, s=0.1)
         for x in (-0.2, 0.0, 0.05, 0.4):
-            assert D.fat_tail3_pdf(x, p) == pytest.approx(scalar_gauss(x, 0, 0.1))
+            assert D.mixture_pdf(x, p) == pytest.approx(scalar_gauss(x, 0, 0.1))
 
     def test_tail_dominates_core_component(self):
         p = D.FatTail3Params()
         w1 = p.c1 / (p.c1 + p.c2 + p.c3)
         x = 6.0 * p.s * p.k1
         core = w1 * scalar_gauss(x, 0.0, p.s)
-        assert D.fat_tail3_pdf(x, p) > 10.0 * core
+        assert D.mixture_pdf(x, p) > 10.0 * core
 
     def test_normalizes_to_one(self):
         p = AlgorithmOptions().fat_tail3_params(0.5)
-        total = integrate.quad(lambda x: D.fat_tail3_pdf(x, p),
+        total = integrate.quad(lambda x: D.mixture_pdf(x, p),
                                -60 * p.s * p.k2, 60 * p.s * p.k2, limit=500)[0]
         assert total == pytest.approx(1.0, abs=1e-4)
 
@@ -201,7 +201,7 @@ class TestSampleFatTail3:
                           for _ in range(100_000)])
 
         def shifted(x):
-            return D.fat_tail3_pdf(x - 0.3, ft)
+            return D.mixture_pdf(x - 0.3, ft)
 
         mass = integrate.quad(shifted, 0.0, 1.0, limit=400)[0]
         pv = chi_square_vs_pdf(draws, lambda x: shifted(x) / mass, 0.0, 1.0)

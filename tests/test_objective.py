@@ -1,5 +1,7 @@
 import math
+import os
 import pickle
+import signal
 import sys
 import textwrap
 import time
@@ -7,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import CountingFunction
+from helpers import CountingFunction, running
 from swarmstack import objective as obj
 from swarmstack.domain import BoundsSpec, denormalize
 from swarmstack.rng import seed
@@ -68,7 +70,7 @@ class TestEvalCounting:
     def test_exact_count_and_flags(self):
         sphere = obj.make_benchmark("sphere", 3)
         func = CountingFunction(sphere.evaluate)
-        ctx = trial_context(obj.ObjectiveHandle(3, func, sphere.bounds))
+        ctx = trial_context(obj.ObjectiveHandle(func, sphere.bounds))
         for _ in range(17):
             ctx.evaluate(np.full(3, 0.5))
         assert ctx.eval_count == func.calls == 17
@@ -76,7 +78,7 @@ class TestEvalCounting:
 
     def test_nonfinite_flagged(self):
         replies = iter([math.nan, "not a number", None, math.inf, 2.5])
-        h = obj.ObjectiveHandle(2, lambda x: next(replies), BoundsSpec.unit(2))
+        h = obj.ObjectiveHandle(lambda x: next(replies), BoundsSpec.unit(2))
         ctx = trial_context(h)
         values = [ctx.evaluate(np.array([0.5, 0.5])) for _ in range(5)]
         assert [math.isnan(v) for v in values] == [True, True, True, False,
@@ -113,6 +115,12 @@ class TestBenchmarks:
             assert h.evaluate(x_norm) == pytest.approx(
                 oracle(list(x_user)), rel=1e-9, abs=1e-9)
 
+    def test_schwefel_has_no_offset_bounds(self):
+        # a shifted box leaves Schwefel's published domain, where it falls
+        # below the optimum value 0 that known_optima names
+        with pytest.raises(ValueError, match="schwefel.*published domain"):
+            obj.make_benchmark("schwefel", 5, bounds_style="offset")
+
     def test_twin_valleys_equal_optima(self):
         h = obj.make_benchmark("twin_valleys", 7)
         fa = h.evaluate(h.known_optima[0])
@@ -122,7 +130,7 @@ class TestBenchmarks:
 
     def test_twin_valleys_keeps_custom_bounds(self):
         bounds = BoundsSpec.from_pairs([(0.0, 10.0), (-5.0, 5.0)])
-        h = obj.make_benchmark_with_bounds("twin_valleys", 2, bounds)
+        h = obj.make_benchmark_with_bounds("twin_valleys", bounds)
         assert np.array_equal(h.bounds.lower, bounds.lower)
         assert np.array_equal(h.bounds.upper, bounds.upper)
         unit = obj.make_benchmark("twin_valleys", 2)
@@ -151,9 +159,10 @@ class TestBenchmarks:
         bounds = BoundsSpec.from_pairs([(-3.0, 4.0)] * dim)
         nrng = np.random.default_rng(3)
         pts = [nrng.uniform(size=dim) for _ in range(20)]
-        for h in (obj.make_benchmark(name, dim, bounds_style="offset",
+        style = "conventional" if name == "schwefel" else "offset"
+        for h in (obj.make_benchmark(name, dim, bounds_style=style,
                                      noise_seed=7),
-                  obj.make_benchmark_with_bounds(name, dim, bounds,
+                  obj.make_benchmark_with_bounds(name, bounds,
                                                  noise_seed=7)):
             state = pickle.dumps(h)
             copy = pickle.loads(state)
@@ -181,7 +190,7 @@ class TestBenchmarks:
             obj.make_benchmark("rosenbrock", 1)
         with pytest.raises(ValueError, match="too small"):
             obj.make_benchmark_with_bounds(
-                "rosenbrock", 1, BoundsSpec.from_pairs([(-2.0, 2.0)]))
+                "rosenbrock", BoundsSpec.from_pairs([(-2.0, 2.0)]))
 
 
 WORKER_SPHERE = textwrap.dedent("""\
@@ -202,7 +211,7 @@ class TestExternalObjective:
         try:
             assert h.evaluate(np.array([0.3, 0.6])) == 0.0
             assert h.evaluate(np.array([0.9, 0.1])) == 0.0
-            assert h.workers == 1
+            assert h.dim == 2
         finally:
             h.close()
 
@@ -359,6 +368,34 @@ class TestExternalObjective:
             assert proc.returncode is not None
             assert proc.stdin.closed and proc.stdout.closed
 
+    def test_stop_ends_a_worker_the_shell_did_not_exec(self, tmp_path):
+        # the shell has more to run after the worker, so it cannot exec it:
+        # the worker is the shell's child, and ending the shell alone
+        # would leave it running
+        script = tmp_path / "w.py"
+        pid_file = tmp_path / "pid"
+        script.write_text(textwrap.dedent(f"""\
+            import os, sys, time
+            with open({str(pid_file)!r}, "w") as fh:
+                fh.write(str(os.getpid()))
+            sys.stdin.readline()
+            time.sleep(30)
+            """))
+        h = obj.external_objective(f"{sys.executable} {script}; exit 0",
+                                   BoundsSpec.unit(1), timeout=2.0)
+        try:
+            assert math.isnan(h.evaluate(np.array([0.5])))
+        finally:
+            h.close()
+        pid = int(pid_file.read_text())
+        deadline = time.monotonic() + 3.0
+        while running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphaned = running(pid)
+        if orphaned:  # end it here, so that a failing run leaves no process
+            os.kill(pid, signal.SIGKILL)
+        assert not orphaned
+
     def test_restarts_are_bounded(self, tmp_path):
         script = tmp_path / "w.py"
         starts = tmp_path / "starts.log"
@@ -387,16 +424,18 @@ class TestExternalObjective:
             """))
         bounds = BoundsSpec.from_pairs([(-1.0, 1.0)] * 2)
         h = obj.external_objective(f"{sys.executable} {script}", bounds,
-                                   timeout=10.0, workers=3)
+                                   timeout=10.0)
         try:
-            assert h.workers == 3
             import concurrent.futures as cf
             pts = [np.array([0.5 + 0.01 * i, 0.5]) for i in range(40)]
             with cf.ThreadPoolExecutor(max_workers=6) as ex:
                 vals = list(ex.map(h.evaluate, pts))
             expect = [float((p[0] * 2 - 1) ** 2) for p in pts]
             assert vals == pytest.approx(expect, abs=1e-12)
-            # the workers saw each point exactly once
-            assert len(log.read_text().splitlines()) == 40
+            # the worker saw each point exactly once
+            logged = [[float(v) for v in line.split()]
+                      for line in log.read_text().splitlines()]
+            assert sorted(logged) == sorted(denormalize(p, bounds).tolist()
+                                            for p in pts)
         finally:
             h.close()

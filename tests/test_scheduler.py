@@ -3,13 +3,15 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import CountingFunction
+from helpers import (CountingFunction, exiting_sphere, raising_sphere,
+                     running)
 from swarmstack import scheduler as sch
 from swarmstack.domain import BoundsSpec
 from swarmstack.linmin import DEFAULT_EVAL_CAP
@@ -28,7 +30,7 @@ def nan_on_left_sphere(x):
 def counted(handle):
     """``handle`` behind a function that counts the calls itself."""
     func = CountingFunction(handle.evaluate)
-    return ObjectiveHandle(handle.dim, func, handle.bounds), func
+    return ObjectiveHandle(func, handle.bounds), func
 
 
 def rated(points):
@@ -70,14 +72,6 @@ def read_pid_log(log):
     return entries["start"], entries["request"]
 
 
-def running(pid):
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    return True
-
-
 SPAWNED_RUNS = textwrap.dedent("""\
     import hashlib, multiprocessing, shlex, sys
     from swarmstack import scheduler as sch
@@ -112,12 +106,49 @@ SPAWNED_RUNS = textwrap.dedent("""\
         command = f"{shlex.quote(sys.executable)} -c {shlex.quote(SPHERE)}"
         bounds = make_benchmark("sphere", 2).bounds
         for threads in (1, 2):
-            handle = external_objective(command, bounds, timeout=30.0,
-                                        workers=2)
+            handle = external_objective(command, bounds, timeout=30.0)
             try:
                 print(digest(handle, threads))
             finally:
                 handle.close()
+    """)
+
+
+LEAK_CHECKED_RUNS = textwrap.dedent("""\
+    import math, os, shlex, sys
+    import numpy as np
+    from swarmstack import scheduler as sch
+    from swarmstack.domain import BoundsSpec
+    from swarmstack.objective import external_objective
+
+    # sphere whose first reply ever comes too late
+    WORKER = ("import os, sys, time\\n"
+              "for line in sys.stdin:\\n"
+              "    if not os.path.exists(sys.argv[1]):\\n"
+              "        open(sys.argv[1], 'w').close()\\n"
+              "        time.sleep(10)\\n"
+              "    print(repr(sum(float(v) ** 2 for v in line.split())),"
+              " flush=True)\\n")
+
+    if __name__ == "__main__":
+        marker = os.path.join(sys.argv[1], "slept")
+        command = " ".join(map(shlex.quote,
+                               (sys.executable, "-c", WORKER, marker)))
+        bounds = BoundsSpec.unit(2)
+        h = external_objective(command, bounds, timeout=2.0)
+        try:
+            assert math.isnan(h.evaluate(np.array([0.5, 0.5])))
+            assert h.evaluate(np.array([0.5, 0.5])) == 0.5  # restarted
+            for threads in (1, 2):
+                cfg = sch.RunConfig(dim=2, bounds=bounds,
+                                    trials_per_temperature=2,
+                                    evals_per_trial=200, stack_capacity=8,
+                                    master_seed=2, temperatures=(1.0, 0.0),
+                                    threads=threads)
+                sch.run_optimization(cfg, h)
+        finally:
+            h.close()
+        print("done")
     """)
 
 
@@ -316,7 +347,7 @@ class TestRunOptimization:
         bounds = BoundsSpec.unit(2)
 
         def run(threads, func):
-            h = ObjectiveHandle(2, func, bounds)
+            h = ObjectiveHandle(func, bounds)
             cfg = sch.RunConfig(dim=2, bounds=bounds, trials_per_temperature=2,
                                 evals_per_trial=400, stack_capacity=12,
                                 master_seed=5, temperatures=(1.0, 0.0),
@@ -334,7 +365,7 @@ class TestRunOptimization:
 
     def test_nonfinite_objective_raises_no_runtime_warnings(self):
         bounds = BoundsSpec.unit(2)
-        h = ObjectiveHandle(2, nan_on_left_sphere, bounds)
+        h = ObjectiveHandle(nan_on_left_sphere, bounds)
         cfg = sch.RunConfig(dim=2, bounds=bounds, trials_per_temperature=2,
                             evals_per_trial=400, stack_capacity=12,
                             master_seed=5, temperatures=(1.0, 0.0))
@@ -346,20 +377,34 @@ class TestRunOptimization:
     def test_threads_with_unpicklable_objective_fail_fast(self):
         bounds = BoundsSpec.unit(2)
         calls = []
-        h = ObjectiveHandle(2, lambda x: calls.append(x) or float(np.dot(x, x)),
+        h = ObjectiveHandle(lambda x: calls.append(x) or float(np.dot(x, x)),
                             bounds)
         cfg = small_config(h, threads=2)
         with pytest.raises(ValueError, match="picklable"):
             sch.run_optimization(cfg, h)
         assert calls == []
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_objective_error_ends_the_run(self, threads):
+        # fail fast: a Python error is a bug, not a flagged evaluation
+        h = ObjectiveHandle(raising_sphere, BoundsSpec.unit(2))
+        with pytest.raises(ZeroDivisionError):
+            sch.run_optimization(small_config(h, threads=threads), h)
+
+    def test_dead_trial_process_ends_the_run(self):
+        from concurrent.futures.process import BrokenProcessPool
+        h = ObjectiveHandle(exiting_sphere, BoundsSpec.unit(2))
+        started = time.monotonic()
+        with pytest.raises(BrokenProcessPool):
+            sch.run_optimization(small_config(h, threads=2), h)
+        assert time.monotonic() - started < 30.0
+
     def test_external_trials_run_in_worker_processes(self, tmp_path):
         bounds = BoundsSpec.from_pairs([(-2.0, 3.0)] * 2)
 
-        def run(threads, workers):
+        def run(threads):
             log = tmp_path / f"requests-{threads}.log"
-            h = external_objective(pid_logging_worker(tmp_path, log), bounds,
-                                   timeout=10.0, workers=workers)
+            h = external_objective(pid_logging_worker(tmp_path, log), bounds)
             try:
                 cfg = sch.RunConfig(dim=2, bounds=bounds,
                                     trials_per_temperature=4,
@@ -380,12 +425,13 @@ class TestRunOptimization:
                        diag.total_evaluations)
             return outcome, starts
 
-        # trials in turn start one process in this one, whatever `workers`
-        serial, serial_starts = run(1, workers=3)
+        # trials in turn start one process in this one
+        serial, serial_starts = run(1)
         assert [ppid for _, ppid in serial_starts] == [os.getpid()]
-        threaded, threaded_starts = run(2, workers=2)
+        threaded, threaded_starts = run(2)
         assert threaded == serial
-        # at most `workers` processes, each started by a trial process
+        # `threads` alone sizes the pool: at most 2 processes, each started
+        # by a trial process
         assert 1 <= len(threaded_starts) <= 2
         assert os.getpid() not in {ppid for _, ppid in threaded_starts}
 
@@ -403,9 +449,22 @@ class TestRunOptimization:
         for serial, threaded in (out[1:3], out[3:5]):
             assert threaded == serial
 
+    def test_external_runs_leave_no_pipe_open(self, tmp_path):
+        # development mode warns of every file or pipe never closed, and the
+        # filter turns each warning into an error that stderr names
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-c", LEAK_CHECKED_RUNS, str(tmp_path)], env=env,
+            capture_output=True, text=True, timeout=300)
+        assert "ResourceWarning" not in done.stderr
+        assert (done.returncode, done.stdout) == (0, "done\n"), done.stderr
+
     def test_constant_objective_fills_stack_distinctly(self):
         bounds = BoundsSpec.unit(2)
-        h = ObjectiveHandle(2, lambda x: 0.0, bounds, name="zero")
+        h = ObjectiveHandle(lambda x: 0.0, bounds, name="zero")
         cfg = sch.RunConfig(dim=2, bounds=bounds, trials_per_temperature=2,
                             evals_per_trial=400, stack_capacity=12,
                             master_seed=3)

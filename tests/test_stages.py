@@ -22,7 +22,7 @@ def unit_sphere(center, dim, name="sphere_unit"):
         d = x - c
         return float(d @ d)
 
-    return ObjectiveHandle(dim, f, BoundsSpec.unit(dim), name=name)
+    return ObjectiveHandle(f, BoundsSpec.unit(dim), name=name)
 
 
 def make_ctx(handle, seed_val, temperature, capacity=8, guesses=(),
@@ -391,7 +391,7 @@ class TestStaleFilter:
         # second attractor is stale only through the oldest remembered
         # direction, which accepting the first attractor evicts.
         def outcome(stage):
-            h = ObjectiveHandle(2, lambda x: 1.0, BoundsSpec.unit(2))
+            h = ObjectiveHandle(lambda x: 1.0, BoundsSpec.unit(2))
             ctx = make_ctx(h, 125, 0.5, capacity=3,
                            guesses=[(0.2, 0.3), (0.8, 0.4), (0.5, 0.9)])
             query, second = ctx.stack.entries[2], ctx.stack.entries[1]
@@ -443,7 +443,7 @@ class TestRunAxes:
             seen.append(x.copy())
             return base._func(x)
 
-        h = ObjectiveHandle(3, recording, BoundsSpec.unit(3))
+        h = ObjectiveHandle(recording, BoundsSpec.unit(3))
         ctx = make_ctx(h, 131, 0.5, capacity=1, guesses=[(0.3, 0.6, 0.9)])
         origin = ctx.stack.best.position.copy()
         S.run_axes(ctx, 12)
@@ -485,7 +485,7 @@ class TestProbeRuleWithoutLinmin:
                 probes.append((value, ctx.stack.best.value))
             return value
 
-        h = ObjectiveHandle(2, f, BoundsSpec.unit(2))
+        h = ObjectiveHandle(f, BoundsSpec.unit(2))
         opts = S.AlgorithmOptions(linmin_on_improvement=False)
         ctx = make_ctx(h, 150, 1.0, capacity=1, options=opts,
                        guesses=[(0.6, 0.9)])
