@@ -2,7 +2,9 @@
 """Dump pdf curves and sampled histograms of the step/mutation distributions.
 
 Writes one TSV per distribution (columns: x, pdf, histogram density) so the
-sampler/density agreement can be eyeballed in any plotting tool.
+sampler/density agreement can be eyeballed in any plotting tool.  The
+reference densities come from the test suite's ``tests/helpers.py``, so scipy
+must be installed.
 
 Example:
     python scripts/export_distribution_tables.py --out-dir dist_tables --n 200000
@@ -14,10 +16,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.integrate import quad
 
 from swarmstack import distributions as D
 from swarmstack import rng as R
 from swarmstack.stages import AlgorithmOptions, recombine_rate
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import mixture_pdf, notch_twin_peaks_pdf  # noqa: E402
 
 
 def dump(path, draws, pdf, lo, hi, bins=120):
@@ -46,29 +52,29 @@ def main(argv=None):
     tp = D.TwinPeaksParams(s=s)
     state = R.seed(args.seed, 0)
     lo, hi = -6 * s * tp.ks, 6 * s * tp.ks
-    draws = np.array([D.sample_twin_peaks(state, tp, lo, hi)
+    comps = D._mixture(tp)
+    draws = np.array([D._sample_truncated_mixture(state, comps, lo, hi)
                       for _ in range(args.n)])
-    from scipy.integrate import quad
-    mass = quad(lambda x: D.mixture_pdf(x, tp), lo, hi)[0]
+    mass = quad(lambda x: mixture_pdf(x, tp), lo, hi)[0]
     dump(out / "twin_peaks.tsv", draws,
-         lambda x: D.mixture_pdf(x, tp) / mass, lo, hi)
+         lambda x: mixture_pdf(x, tp) / mass, lo, hi)
 
     notch = D.NotchParams(tp)
     state = R.seed(args.seed, 1)
     draws = np.array([D.sample_notch_twin_peaks(state, notch, lo, hi)
                       for _ in range(args.n)])
     dump(out / "notch_twin_peaks.tsv", draws,
-         lambda x: D.notch_twin_peaks_pdf(x, notch, lo, hi), lo, hi)
+         notch_twin_peaks_pdf(notch, lo, hi), lo, hi)
 
     ft = AlgorithmOptions().fat_tail3_params(t)
     state = R.seed(args.seed, 2)
     center = 0.3
     draws = np.array([D.sample_fat_tail3(state, ft, center, 0.0, 1.0)
                       for _ in range(args.n)])
-    mass = quad(lambda x: D.mixture_pdf(x - center, ft), 0.0, 1.0,
+    mass = quad(lambda x: mixture_pdf(x - center, ft), 0.0, 1.0,
                 limit=400)[0]
     dump(out / "fat_tail3.tsv", draws,
-         lambda x: D.mixture_pdf(x - center, ft) / mass, 0.0, 1.0)
+         lambda x: mixture_pdf(x - center, ft) / mass, 0.0, 1.0)
 
     rate = recombine_rate(t)
     state = R.seed(args.seed, 3)

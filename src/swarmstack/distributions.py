@@ -15,23 +15,15 @@ Three bespoke families live here, all built from Gaussian components:
 All samplers draw through an explicit RngState and support truncation to a
 finite interval; truncated mixtures are sampled exactly by reweighting each
 component by its mass inside the interval and then drawing that component's
-conditional law.
+conditional law.  The module holds only the samplers the stages call; the
+reference densities the tests check them against live with the tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .rng import RngState, bounded_gaussian, normal_cdf, uniform01
-
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def gauss_pdf(x: float, mean: float, sd: float) -> float:
-    u = (x - mean) / sd
-    return _INV_SQRT_2PI / sd * math.exp(-0.5 * u * u)
 
 
 def scale_for_temperature(t: float) -> float:
@@ -109,67 +101,6 @@ def _mixture(p) -> list[tuple[float, float, float]]:
             (p.c3 / total, 0.0, p.s * p.k2)]
 
 
-def mixture_pdf(x: float, p: TwinPeaksParams | FatTail3Params) -> float:
-    """Density at ``x`` of the twin_peaks or fat_tail3 mixture ``p``."""
-    return sum(w * gauss_pdf(x, m, sd) for w, m, sd in _mixture(p) if w > 0)
-
-
-def _adaptive_simpson(f, a, b, rel_tol):
-    """Adaptive Simpson quadrature with absolute-scaled recursion control."""
-    def simpson(fa, fm, fb, h):
-        return h / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, m, b, fa, fm, fb, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = simpson(fa, flm, fm, m - a)
-        right = simpson(fm, frm, fb, b - m)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, lm, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-                + recurse(m, rm, b, fm, frm, fb, right, tol / 2.0, depth - 1))
-
-    if a == b:
-        return 0.0
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = simpson(fa, fm, fb, b - a)
-    scale = max(abs(whole), 1e-12)
-    return recurse(a, m, b, fa, fm, fb, whole, rel_tol * scale, 48)
-
-
-@lru_cache(maxsize=256)
-def notch_area(np_: NotchParams, lo: float, hi: float) -> float:
-    """Normalization integral of |x|**p * twin_peaks over [lo, hi], cached.
-
-    The integrand has a cusp at zero, so the integral is split there before
-    handing each side to adaptive Simpson.
-    """
-    if lo >= hi:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    p = np_.notch_exponent
-    base = np_.base
-
-    def f(x):
-        return abs(x) ** p * mixture_pdf(x, base)
-
-    pieces = []
-    if lo < 0.0 < hi:
-        pieces = [(lo, 0.0), (0.0, hi)]
-    else:
-        pieces = [(lo, hi)]
-    return sum(_adaptive_simpson(f, a, b, 1e-7) for a, b in pieces)
-
-
-def notch_twin_peaks_pdf(x: float, np_: NotchParams, lo: float, hi: float) -> float:
-    """Density of the notched distribution truncated to [lo, hi]; zero at x=0."""
-    if x < lo or x > hi:
-        return 0.0
-    area = notch_area(np_, lo, hi)
-    return abs(x) ** np_.notch_exponent * mixture_pdf(x, np_.base) / area
-
-
 def _sample_truncated_mixture(state: RngState, components, lo: float,
                               hi: float) -> float:
     """Exact draw from a Gaussian mixture conditioned on [lo, hi].
@@ -200,11 +131,6 @@ def _sample_truncated_mixture(state: RngState, components, lo: float,
         if pick <= acc or (wm, m, sd) == weighted[-1]:
             return bounded_gaussian(state, m, sd, lo, hi)
     raise AssertionError("unreachable")
-
-
-def sample_twin_peaks(state: RngState, p: TwinPeaksParams,
-                      lo: float, hi: float) -> float:
-    return _sample_truncated_mixture(state, _mixture(p), lo, hi)
 
 
 def sample_fat_tail3(state: RngState, p: FatTail3Params, center: float,

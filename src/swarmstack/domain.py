@@ -1,7 +1,7 @@
 """Parameter-space geometry: unit cube, random directions, line segments.
 
-The optimizer works exclusively in the normalized unit hypercube; user-unit
-hyper-block bounds are mapped in and out at the objective boundary.  Distances
+The optimizer works exclusively in the normalized unit hypercube; points are
+mapped to the user-unit hyper-block at the objective boundary.  Distances
 between candidate solutions use the D1 (Manhattan) norm, which favors keeping
 points that differ in many coordinates over points that differ in one; the
 stack computes them (``Stack.d1_distances``).
@@ -55,19 +55,6 @@ class BoundsSpec:
     @property
     def width(self) -> np.ndarray:
         return self.upper - self.lower
-
-
-def normalize(user_point: np.ndarray, bounds: BoundsSpec) -> np.ndarray:
-    """Map a user-unit point into [0, 1]^dim."""
-    p = np.asarray(user_point, dtype=float)
-    if p.shape != bounds.lower.shape:
-        raise ValueError(f"point has dim {p.size}, bounds have dim {bounds.dim}")
-    bad = np.nonzero((p < bounds.lower) | (p > bounds.upper))[0]
-    if bad.size:
-        raise ValueError(
-            f"parameter {bad[0]} value {p[bad[0]]} outside "
-            f"[{bounds.lower[bad[0]]}, {bounds.upper[bad[0]]}]")
-    return (p - bounds.lower) / bounds.width
 
 
 def denormalize(point: np.ndarray, bounds: BoundsSpec) -> np.ndarray:

@@ -77,6 +77,23 @@ class RunConfig:
                 or self.threads < 1):
             raise ValueError("counts must be positive")
         allocate_budget(self.evals_per_trial)  # validates the size
+        # the options are checked here, as a whole, and not field by field:
+        # a valid set can pass through invalid ones while it is built
+        opts = self.options
+        if not opts.fat_tail3_s_divisor > 0.0:
+            raise ValueError("fat_tail3_s_divisor must be > 0")
+        opts.notch_params(1.0)  # the parameter classes check their fields
+        opts.fat_tail3_params(1.0)
+        if not 0.0 <= opts.mutation_prob <= 1.0:
+            raise ValueError("mutation_prob must be in [0, 1]")
+        if not (opts.recombine_ratio_high_t > 1.0
+                and opts.recombine_ratio_low_t > 1.0):
+            raise ValueError("recombine ratios must be > 1")
+        if not (opts.r_eq_base >= 0.0
+                and opts.r_eq_base + opts.r_eq_slope >= 0.0):
+            raise ValueError("r_eq_base + T * r_eq_slope must be >= 0")
+        if not opts.linmin_tol > 0.0:
+            raise ValueError("linmin_tol must be > 0")
 
 
 @dataclass(frozen=True)

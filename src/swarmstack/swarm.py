@@ -126,17 +126,6 @@ class Stack:
         self._insert_sorted(candidate)
         return InsertOutcome.INSERTED
 
-    def check_invariants(self) -> None:
-        """Assert sortedness, capacity and pairwise distinctness (test aid)."""
-        assert len(self.entries) <= self.capacity
-        keys = [e.sort_key() for e in self.entries]
-        assert keys == sorted(keys)
-        for i in range(len(self.entries)):
-            for j in range(i + 1, len(self.entries)):
-                d = float(np.abs(self.entries[i].position
-                                 - self.entries[j].position).sum())
-                assert d >= self.r_eq
-
 
 @dataclass(frozen=True)
 class StackMetrics:

@@ -1,4 +1,8 @@
-"""Shared statistical utilities, oracles and objectives for the test suite."""
+"""Shared statistical utilities, oracles and objectives for the test suite.
+
+The reference densities of the step and mutation laws live here too, for
+the tests and for ``scripts/export_distribution_tables.py``.
+"""
 
 import math
 import os
@@ -7,11 +11,72 @@ import numpy as np
 from scipy import integrate, stats
 from scipy.optimize import brentq
 
-from swarmstack.domain import LineSegment, point_on_line
+from swarmstack.distributions import (FatTail3Params, NotchParams,
+                                      TwinPeaksParams, _mixture)
+from swarmstack.domain import BoundsSpec, LineSegment, point_on_line
 from swarmstack.stages import (ATTRACTOR_RETRY_CAP, DIRECTION_COS_TOL,
                                attractiveness, direction_is_new,
                                minimize_on_line,
                                sample_characteristic_distance)
+from swarmstack.swarm import Stack
+
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def gauss_pdf(x: float, mean: float, sd: float) -> float:
+    u = (x - mean) / sd
+    return _INV_SQRT_2PI / sd * math.exp(-0.5 * u * u)
+
+
+def mixture_pdf(x: float, p: TwinPeaksParams | FatTail3Params) -> float:
+    """Density at ``x`` of the twin_peaks or fat_tail3 mixture ``p``."""
+    return sum(w * gauss_pdf(x, m, sd) for w, m, sd in _mixture(p) if w > 0)
+
+
+def notch_twin_peaks_pdf(np_: NotchParams, lo: float, hi: float):
+    """Density of the notched law truncated to [lo, hi]; zero at x = 0.
+
+    The normalizing area is integrated once, split at the cusp at zero.
+    """
+    p = np_.notch_exponent
+
+    def unnormalized(x):
+        return abs(x) ** p * mixture_pdf(x, np_.base)
+
+    area = integrate.quad(unnormalized, lo, hi, points=[0.0], limit=400)[0]
+
+    def pdf(x):
+        if x < lo or x > hi:
+            return 0.0
+        return unnormalized(x) / area
+
+    return pdf
+
+
+def normalize(user_point, bounds: BoundsSpec) -> np.ndarray:
+    """Map a user-unit point into [0, 1]^dim."""
+    p = np.asarray(user_point, dtype=float)
+    if p.shape != bounds.lower.shape:
+        raise ValueError(
+            f"point has dim {p.size}, bounds have dim {bounds.dim}")
+    bad = np.nonzero((p < bounds.lower) | (p > bounds.upper))[0]
+    if bad.size:
+        raise ValueError(
+            f"parameter {bad[0]} value {p[bad[0]]} outside "
+            f"[{bounds.lower[bad[0]]}, {bounds.upper[bad[0]]}]")
+    return (p - bounds.lower) / bounds.width
+
+
+def assert_stack_invariants(stack: Stack) -> None:
+    """Assert sortedness, capacity and pairwise distinctness of a stack."""
+    assert len(stack.entries) <= stack.capacity
+    keys = [e.sort_key() for e in stack.entries]
+    assert keys == sorted(keys)
+    for i in range(len(stack.entries)):
+        for j in range(i + 1, len(stack.entries)):
+            d = float(np.abs(stack.entries[i].position
+                             - stack.entries[j].position).sum())
+            assert d >= stack.r_eq
 
 
 def chi_square_vs_pdf(samples, pdf, lo, hi, bins=100, min_expected=5.0):

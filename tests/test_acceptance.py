@@ -15,7 +15,7 @@ import pytest
 from scipy import integrate, stats
 
 from helpers import (BruteForceStack, CountingFunction, chi_square_vs_pdf,
-                     fit_bounded_exp_rate)
+                     fit_bounded_exp_rate, mixture_pdf, notch_twin_peaks_pdf)
 from swarmstack import distributions as D
 from swarmstack import rng as R
 from swarmstack import stages as S
@@ -103,29 +103,30 @@ def test_criterion_3_distribution_laws():
 
     tp = D.TwinPeaksParams(s=0.4)
     state = R.seed(9001, 0)
-    draws = np.array([D.sample_twin_peaks(state, tp, -0.6, 1.0)
+    draws = np.array([D._sample_truncated_mixture(state, D._mixture(tp),
+                                                  -0.6, 1.0)
                       for _ in range(n)])
-    mass = integrate.quad(lambda x: D.mixture_pdf(x, tp), -0.6, 1.0)[0]
+    mass = integrate.quad(lambda x: mixture_pdf(x, tp), -0.6, 1.0)[0]
     checks.append(("twinPeaks", chi_square_vs_pdf(
-        draws, lambda x: D.mixture_pdf(x, tp) / mass, -0.6, 1.0)))
+        draws, lambda x: mixture_pdf(x, tp) / mass, -0.6, 1.0)))
 
     notch = D.NotchParams(tp)
     state = R.seed(9001, 1)
     draws = np.array([D.sample_notch_twin_peaks(state, notch, -1.0, 1.0)
                       for _ in range(n)])
+    notch_pdf = notch_twin_peaks_pdf(notch, -1.0, 1.0)
     checks.append(("notchTwinPeaks", chi_square_vs_pdf(
-        draws, lambda x: D.notch_twin_peaks_pdf(x, notch, -1.0, 1.0),
-        -1.0, 1.0)))
-    notch_zero = D.notch_twin_peaks_pdf(0.0, notch, -1.0, 1.0)
+        draws, notch_pdf, -1.0, 1.0)))
+    notch_zero = notch_pdf(0.0)
 
     ft = S.AlgorithmOptions().fat_tail3_params(1.0)
     state = R.seed(9001, 2)
     draws = np.array([D.sample_fat_tail3(state, ft, 0.3, 0.0, 1.0)
                       for _ in range(n)])
-    ft_mass = integrate.quad(lambda x: D.mixture_pdf(x - 0.3, ft), 0, 1,
+    ft_mass = integrate.quad(lambda x: mixture_pdf(x - 0.3, ft), 0, 1,
                              limit=400)[0]
     checks.append(("fatTail3", chi_square_vs_pdf(
-        draws, lambda x: D.mixture_pdf(x - 0.3, ft) / ft_mass, 0.0, 1.0)))
+        draws, lambda x: mixture_pdf(x - 0.3, ft) / ft_mass, 0.0, 1.0)))
 
     rate = math.log(2)
     state = R.seed(9001, 3)

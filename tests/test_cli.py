@@ -234,6 +234,36 @@ class TestRunCommand:
         assert "schwefel" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("fatTail3.k1", "0.5"), ("notch_exponent", "-1"),
+        ("fatTail3.s_divisor", "-2"), ("recombine.ratio_low_t", "0.5"),
+        ("recombine.ratio_high_t", "1"), ("r_eq.base", "-5"),
+        ("r_eq.slope", "-0.5"), ("tol", "0"), ("fatTail3.c1", "-1"),
+        ("mutation_prob", "3"), ("mutation_prob", "-0.1")])
+    def test_bad_option_fails_before_the_run(self, key, value, tmp_path,
+                                             capsys):
+        out = tmp_path / "out"
+        rc = cli.main(["--trials", "1", "--evals_per_trial", "150",
+                       f"--{key}", value, "--out_dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines", [
+        # k1 = 60 > k2 = 50 holds only until the next line
+        "fatTail3.k1 = 60\nfatTail3.k2 = 100\n",
+        "mutation_prob = 0\n", "mutation_prob = 1\n",
+        "r_eq.base = 0\nr_eq.slope = 0\n"])
+    def test_boundary_options_run(self, lines, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_text(lines)
+        out = tmp_path / "out"
+        rc = cli.main(["--config", str(f), "--trials", "1",
+                       "--evals_per_trial", "150", "--out_dir", str(out)])
+        assert rc == 0
+        assert (out / "stack.csv").is_file()
+
     def test_main_unknown_key_fails(self, tmp_path, capsys):
         f = tmp_path / "run.cfg"
         f.write_text("nonsense = 4\n")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
-from helpers import chi_square_vs_pdf, ks_2samp_pvalue
+from helpers import (chi_square_vs_pdf, ks_2samp_pvalue, mixture_pdf,
+                     notch_twin_peaks_pdf)
 from swarmstack import distributions as D
 from swarmstack import rng as R
 from swarmstack.stages import AlgorithmOptions
@@ -33,20 +34,20 @@ class TestTwinPeaksPdf:
         p = D.TwinPeaksParams(s=1.0, kt=1.1, q=0.3, ks=2.5)
         oracle = (0.7 * (scalar_gauss(0, -1.1, 1) + scalar_gauss(0, 1.1, 1)) / 2
                   + 0.3 * scalar_gauss(0, 0, 2.5))
-        assert D.mixture_pdf(0.0, p) == pytest.approx(oracle, rel=1e-12)
-        assert D.mixture_pdf(0.0, p) == pytest.approx(0.2003696, abs=1e-6)
+        assert mixture_pdf(0.0, p) == pytest.approx(oracle, rel=1e-12)
+        assert mixture_pdf(0.0, p) == pytest.approx(0.2003696, abs=1e-6)
 
     @given(st.floats(-10, 10))
     def test_even_function(self, x):
         p = D.TwinPeaksParams(s=0.7)
-        assert D.mixture_pdf(x, p) == pytest.approx(D.mixture_pdf(-x, p))
+        assert mixture_pdf(x, p) == pytest.approx(mixture_pdf(-x, p))
 
     def test_flat_top_when_kt_one_no_center(self):
         p = D.TwinPeaksParams(s=1.0, kt=1.0, q=0.0)
         h = 1e-4
-        f0 = D.mixture_pdf(0.0, p)
-        d1 = (D.mixture_pdf(h, p) - D.mixture_pdf(-h, p)) / (2 * h)
-        d2 = (D.mixture_pdf(h, p) - 2 * f0 + D.mixture_pdf(-h, p)) / h**2
+        f0 = mixture_pdf(0.0, p)
+        d1 = (mixture_pdf(h, p) - mixture_pdf(-h, p)) / (2 * h)
+        d2 = (mixture_pdf(h, p) - 2 * f0 + mixture_pdf(-h, p)) / h**2
         assert abs(d1) < 1e-9
         assert abs(d2) < 1e-4
 
@@ -56,7 +57,7 @@ class TestTwinPeaksPdf:
         D.TwinPeaksParams(s=0.05, kt=0.9, q=0.5, ks=2.0),
     ])
     def test_normalizes_to_one(self, p):
-        total = integrate.quad(lambda x: D.mixture_pdf(x, p),
+        total = integrate.quad(lambda x: mixture_pdf(x, p),
                                -40 * p.s * p.ks, 40 * p.s * p.ks, limit=300)[0]
         assert total == pytest.approx(1.0, abs=1e-4)
 
@@ -71,8 +72,9 @@ class TestSampleTwinPeaks:
     def test_wide_bounds_match_untruncated_mixture(self):
         st_ = R.seed(32, 0)
         p = D.TwinPeaksParams(s=1.0)
-        mine = np.array([D.sample_twin_peaks(st_, p, -20.0, 20.0)
-                         for _ in range(100_000)])
+        mine = np.array([
+            D._sample_truncated_mixture(st_, D._mixture(p), -20.0, 20.0)
+            for _ in range(100_000)])
         orng = np.random.default_rng(2024)
         comp = orng.choice(3, p=[0.35, 0.35, 0.3], size=100_000)
         oracle = orng.normal(np.array([-1.1, 1.1, 0.0])[comp],
@@ -83,54 +85,50 @@ class TestSampleTwinPeaks:
         st_ = R.seed(31, 0)
         p = D.TwinPeaksParams(s=0.4)
         lo, hi = -0.6, 1.0
-        draws = np.array([D.sample_twin_peaks(st_, p, lo, hi)
+        comps = D._mixture(p)
+        draws = np.array([D._sample_truncated_mixture(st_, comps, lo, hi)
                           for _ in range(100_000)])
         assert draws.min() >= lo and draws.max() <= hi
-        mass = integrate.quad(lambda x: D.mixture_pdf(x, p), lo, hi)[0]
-        pv = chi_square_vs_pdf(draws, lambda x: D.mixture_pdf(x, p) / mass,
+        mass = integrate.quad(lambda x: mixture_pdf(x, p), lo, hi)[0]
+        pv = chi_square_vs_pdf(draws, lambda x: mixture_pdf(x, p) / mass,
                                lo, hi)
         assert pv > 0.001
 
     def test_scale_factor_property(self):
         # the s=0.2 law equals 0.2 times the s=1 law
         a_state, b_state = R.seed(33, 0), R.seed(34, 0)
-        a = np.array([D.sample_twin_peaks(a_state, D.TwinPeaksParams(s=0.2),
-                                          -4.0, 4.0) for _ in range(50_000)])
-        b = 0.2 * np.array([D.sample_twin_peaks(b_state, D.TwinPeaksParams(s=1.0),
-                                                -20.0, 20.0) for _ in range(50_000)])
+        a_comps = D._mixture(D.TwinPeaksParams(s=0.2))
+        b_comps = D._mixture(D.TwinPeaksParams(s=1.0))
+        a = np.array([D._sample_truncated_mixture(a_state, a_comps, -4.0, 4.0)
+                      for _ in range(50_000)])
+        b = 0.2 * np.array([
+            D._sample_truncated_mixture(b_state, b_comps, -20.0, 20.0)
+            for _ in range(50_000)])
         assert ks_2samp_pvalue(a, b) > 0.001
 
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
-            D.sample_twin_peaks(R.seed(1, 0), D.TwinPeaksParams(s=1.0), 1.0, 1.0)
+            D._sample_truncated_mixture(
+                R.seed(1, 0), D._mixture(D.TwinPeaksParams(s=1.0)), 1.0, 1.0)
 
 
 class TestNotchTwinPeaks:
     NP = D.NotchParams(D.TwinPeaksParams(s=0.4))
 
     def test_pdf_zero_at_origin(self):
-        assert D.notch_twin_peaks_pdf(0.0, self.NP, -1.0, 1.0) == 0.0
-
-    def test_area_matches_quad_oracle(self):
-        area = D.notch_area(self.NP, -1.0, 1.0)
-        ref = integrate.quad(
-            lambda x: abs(x) ** (1 / 6) * D.mixture_pdf(x, self.NP.base),
-            -1.0, 1.0, limit=400, points=[0.0])[0]
-        assert abs(area - ref) / ref < 1e-6
+        assert notch_twin_peaks_pdf(self.NP, -1.0, 1.0)(0.0) == 0.0
 
     def test_pdf_normalizes_on_window(self):
-        total = integrate.quad(
-            lambda x: D.notch_twin_peaks_pdf(x, self.NP, -1.0, 1.0),
-            -1.0, 1.0, limit=400, points=[0.0])[0]
+        total = integrate.quad(notch_twin_peaks_pdf(self.NP, -1.0, 1.0),
+                               -1.0, 1.0, limit=400, points=[0.0])[0]
         assert total == pytest.approx(1.0, abs=1e-4)
 
     def test_tracks_rescaled_twin_peaks_away_from_origin(self):
         # away from the notch the density is twin_peaks times a slowly
         # varying factor: the ratio drifts by < 25% over [0.35, 1.0]
         xs = np.linspace(0.35, 1.0, 40)
-        ratio = np.array([
-            D.notch_twin_peaks_pdf(x, self.NP, -1.0, 1.0)
-            / D.mixture_pdf(x, self.NP.base) for x in xs])
+        pdf = notch_twin_peaks_pdf(self.NP, -1.0, 1.0)
+        ratio = np.array([pdf(x) / mixture_pdf(x, self.NP.base) for x in xs])
         assert ratio.max() / ratio.min() < 1.25
 
     def test_sampler_matches_pdf(self):
@@ -140,8 +138,7 @@ class TestNotchTwinPeaks:
         assert draws.min() >= -1.0 and draws.max() <= 1.0
         assert not np.any(draws == 0.0)
         pv = chi_square_vs_pdf(
-            draws, lambda x: D.notch_twin_peaks_pdf(x, self.NP, -1.0, 1.0),
-            -1.0, 1.0)
+            draws, notch_twin_peaks_pdf(self.NP, -1.0, 1.0), -1.0, 1.0)
         assert pv > 0.001
 
     def test_asymmetric_window(self):
@@ -155,23 +152,23 @@ class TestFatTail3:
     def test_even_function(self):
         p = D.FatTail3Params(s=0.02)
         for x in (0.0, 0.01, 0.3, 1.7):
-            assert D.mixture_pdf(x, p) == pytest.approx(D.mixture_pdf(-x, p))
+            assert mixture_pdf(x, p) == pytest.approx(mixture_pdf(-x, p))
 
     def test_degenerate_mixture_is_gaussian(self):
         p = D.FatTail3Params(c1=1.0, c2=0.0, c3=0.0, s=0.1)
         for x in (-0.2, 0.0, 0.05, 0.4):
-            assert D.mixture_pdf(x, p) == pytest.approx(scalar_gauss(x, 0, 0.1))
+            assert mixture_pdf(x, p) == pytest.approx(scalar_gauss(x, 0, 0.1))
 
     def test_tail_dominates_core_component(self):
         p = D.FatTail3Params()
         w1 = p.c1 / (p.c1 + p.c2 + p.c3)
         x = 6.0 * p.s * p.k1
         core = w1 * scalar_gauss(x, 0.0, p.s)
-        assert D.mixture_pdf(x, p) > 10.0 * core
+        assert mixture_pdf(x, p) > 10.0 * core
 
     def test_normalizes_to_one(self):
         p = AlgorithmOptions().fat_tail3_params(0.5)
-        total = integrate.quad(lambda x: D.mixture_pdf(x, p),
+        total = integrate.quad(lambda x: mixture_pdf(x, p),
                                -60 * p.s * p.k2, 60 * p.s * p.k2, limit=500)[0]
         assert total == pytest.approx(1.0, abs=1e-4)
 
@@ -201,7 +198,7 @@ class TestSampleFatTail3:
                           for _ in range(100_000)])
 
         def shifted(x):
-            return D.mixture_pdf(x - 0.3, ft)
+            return mixture_pdf(x - 0.3, ft)
 
         mass = integrate.quad(shifted, 0.0, 1.0, limit=400)[0]
         pv = chi_square_vs_pdf(draws, lambda x: shifted(x) / mass, 0.0, 1.0)

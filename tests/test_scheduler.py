@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (CountingFunction, exiting_sphere, raising_sphere,
-                     running)
+from helpers import (CountingFunction, assert_stack_invariants,
+                     exiting_sphere, raising_sphere, running)
 from swarmstack import scheduler as sch
 from swarmstack.domain import BoundsSpec
 from swarmstack.linmin import DEFAULT_EVAL_CAP
@@ -198,6 +198,16 @@ class TestRunConfigValidation:
         h = make_benchmark("sphere", 2)
         with pytest.raises(ValueError):
             sch.RunConfig(dim=3, bounds=h.bounds)
+
+    @pytest.mark.parametrize("bad", [
+        {"fat_tail3_k1": 0.5}, {"fat_tail3_s_divisor": 0.0},
+        {"notch_exponent": 0.0}, {"recombine_ratio_high_t": 0.9},
+        {"r_eq_base": -0.01}, {"r_eq_base": 0.01, "r_eq_slope": -0.02},
+        {"linmin_tol": 0.0}, {"mutation_prob": 1.5}])
+    def test_bad_options_rejected(self, bad):
+        h = make_benchmark("sphere", 2)
+        with pytest.raises(ValueError):
+            small_config(h, options=AlgorithmOptions(**bad))
 
 
 class TestRunTrial:
@@ -472,7 +482,7 @@ class TestRunOptimization:
         assert len(stack) == 12
         assert all(e.value == 0.0 for e in stack.entries)
         final_r_eq = cfg.options.equivalence_radius(cfg.temperatures[-1], 2)
-        stack.check_invariants()
+        assert_stack_invariants(stack)
         pos = stack.positions_matrix()
         for i in range(len(stack)):
             for j in range(i + 1, len(stack)):

@@ -19,15 +19,20 @@ def run_script(name, *args, cwd):
 
 
 def test_run_benchmark_writes_summary(tmp_path):
+    # schwefel has no offset box, so it runs on its conventional one
     out = tmp_path / "results.csv"
-    run_script("run_benchmark.py", "--functions", "sphere", "--dim", "2",
-               "--seeds", "0", "--trials", "1", "--evals-per-trial", "100",
-               "--out", str(out), cwd=tmp_path)
+    run_script("run_benchmark.py", "--functions", "sphere", "schwefel",
+               "--dim", "2", "--seeds", "0", "--trials", "1",
+               "--evals-per-trial", "100", "--out", str(out), cwd=tmp_path)
     with out.open() as fh:
-        (row,) = list(csv.DictReader(fh))
-    assert row["function"] == "sphere" and row["dim"] == "2"
-    assert int(row["evaluations"]) >= 5 * 100
-    assert float(row["best_value"]) >= 0.0
+        sphere, schwefel = list(csv.DictReader(fh))
+    assert sphere["function"] == "sphere" and sphere["dim"] == "2"
+    assert sphere["bounds_style"] == "offset"
+    assert schwefel["function"] == "schwefel"
+    assert schwefel["bounds_style"] == "conventional"
+    for row in (sphere, schwefel):
+        assert int(row["evaluations"]) >= 5 * 100
+        assert float(row["best_value"]) >= 0.0
 
 
 def test_export_distribution_tables_writes_tsvs(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_run_proximal
+from helpers import assert_stack_invariants, reference_run_proximal
 from swarmstack import rng as R
 from swarmstack import stages as S
 from swarmstack.domain import BoundsSpec
@@ -541,6 +541,6 @@ class TestStageContracts:
         stage(ctx, budget)
         assert ctx.eval_count - before <= budget + DEFAULT_EVAL_CAP
         assert ctx.stack.best.value <= best_before
-        ctx.stack.check_invariants()
+        assert_stack_invariants(ctx.stack)
         for e in ctx.stack.entries:
             assert np.all(e.position >= 0.0) and np.all(e.position <= 1.0)

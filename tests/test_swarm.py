@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import BruteForceStack
+from helpers import BruteForceStack, assert_stack_invariants
 from swarmstack import swarm as sw
 from swarmstack.stages import AlgorithmOptions
 from swarmstack.swarm import InsertOutcome, RatedPoint, Stack
@@ -153,7 +153,7 @@ class TestTryInsert:
         got = [(e.value, e.eval_index, tuple(e.position)) for e in s.entries]
         want = [(v, i, c) for v, i, c in oracle.items]
         assert got == want
-        s.check_invariants()
+        assert_stack_invariants(s)
 
 
 class TestStatDist:
@@ -309,4 +309,4 @@ class TestMergeStacks:
         assert len(merged) <= 120
         global_best = min(s.best.value for s in stacks)
         assert merged.best.value == global_best
-        merged.check_invariants()
+        assert_stack_invariants(merged)
