@@ -229,7 +229,8 @@ def write_diagnostics_jsonl(diag: RunDiagnostics, path: Path) -> None:
 
 
 def parse_planes(spec: str, dim: int) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """Parse plane specs: "0-1;2-3" axis pairs or "u.../v..." vector pairs."""
+    """Parse plane specs: "0-1;2-3" axis pairs or "u.../v..." orthonormal
+    vector pairs.  Every check runs here, so a bad spec fails before a run."""
     planes = []
     for idx, chunk in enumerate(spec.split(";")):
         chunk = chunk.strip()
@@ -241,6 +242,12 @@ def parse_planes(spec: str, dim: int) -> list[tuple[str, np.ndarray, np.ndarray]
             v = np.array([float(x) for x in v_txt.split()])
             if u.size != dim or v.size != dim:
                 raise ValueError(f"plane {chunk!r} has wrong dimension")
+            for d in (u, v):
+                if abs(float(np.sqrt(d @ d)) - 1.0) > 1e-9:
+                    raise ValueError(
+                        f"plane {chunk!r}: direction not unit length")
+            if abs(float(u @ v)) > 1e-9:
+                raise ValueError(f"plane {chunk!r}: directions not orthogonal")
             planes.append((f"plane{idx}", u, v))
         else:
             i_txt, _, j_txt = chunk.partition("-")
@@ -269,11 +276,6 @@ def export_projections(history: list[RatedPoint],
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for name, u, v in planes:
-        for d in (u, v):
-            if abs(float(np.sqrt(d @ d)) - 1.0) > 1e-9:
-                raise ValueError(f"plane {name!r}: direction not unit length")
-        if abs(float(u @ v)) > 1e-9:
-            raise ValueError(f"plane {name!r}: directions not orthogonal")
         u_min = float(np.minimum(u, 0.0).sum())
         v_min = float(np.minimum(v, 0.0).sum())
         u_len = float(np.abs(u).sum())
@@ -292,6 +294,8 @@ def export_projections(history: list[RatedPoint],
 def run_command(config: CliConfig) -> int:
     """Execute one optimization run and write all requested artifacts."""
     try:
+        planes = (parse_planes(config.projection_planes, config.dim)
+                  if config.emit_projections else [])
         run_config, handle = build_run(config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -308,7 +312,6 @@ def run_command(config: CliConfig) -> int:
     write_stack_csv(stack, handle.bounds, out_dir / "stack.csv")
     write_diagnostics_jsonl(diag, out_dir / "diagnostics.jsonl")
     if config.emit_projections:
-        planes = parse_planes(config.projection_planes, run_config.dim)
         export_projections(diag.swarm_history, planes, out_dir / "projections")
 
     best = stack.best

@@ -48,11 +48,11 @@ class TwinPeaksParams:
     ks: float = 2.5
 
     def __post_init__(self):
-        if self.s <= 0.0:
+        if not self.s > 0.0:
             raise ValueError(f"s must be > 0, got {self.s}")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must be in [0, 1], got {self.q}")
-        if self.kt < 0.0 or self.ks <= 0.0:
+        if not (self.kt >= 0.0 and self.ks > 0.0):
             raise ValueError("kt must be >= 0 and ks > 0")
 
 
@@ -64,7 +64,7 @@ class NotchParams:
     notch_exponent: float = 1.0 / 6.0
 
     def __post_init__(self):
-        if self.notch_exponent <= 0.0:
+        if not self.notch_exponent > 0.0:
             raise ValueError("notch_exponent must be > 0")
 
 
@@ -80,11 +80,13 @@ class FatTail3Params:
     s: float = 0.02
 
     def __post_init__(self):
-        if min(self.c1, self.c2, self.c3) < 0 or self.c1 + self.c2 + self.c3 <= 0:
+        # a NaN weight makes the sum NaN, which fails the second test
+        if not (min(self.c1, self.c2, self.c3) >= 0.0
+                and self.c1 + self.c2 + self.c3 > 0.0):
             raise ValueError("weights must be nonnegative with positive sum")
         if not 1.0 < self.k1 < self.k2:
             raise ValueError("need 1 < k1 < k2")
-        if self.s <= 0.0:
+        if not self.s > 0.0:
             raise ValueError(f"s must be > 0, got {self.s}")
 
 
@@ -107,7 +109,9 @@ def _sample_truncated_mixture(state: RngState, components, lo: float,
 
     Component weights are multiplied by each component's mass inside the
     interval; the chosen component is then drawn by bounded_gaussian, which
-    together reproduces the truncated mixture law exactly.
+    together reproduces the truncated mixture law exactly.  Each caller's
+    interval holds the mean of a component of positive weight, so the
+    weighted masses never all vanish.
     """
     if lo >= hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
@@ -119,18 +123,14 @@ def _sample_truncated_mixture(state: RngState, components, lo: float,
         mass = normal_cdf((hi - m) / sd) - normal_cdf((lo - m) / sd)
         weighted.append((w * mass, m, sd))
         total += w * mass
-    if total <= 0.0:
-        # every component mass underflowed: the interval is numerically
-        # unreachable, fall back to the component whose mean is closest
-        w, m, sd = min(components, key=lambda c: min(abs(lo - c[1]), abs(hi - c[1])))
-        return bounded_gaussian(state, m, sd, lo, hi)
     pick = uniform01(state) * total
     acc = 0.0
     for wm, m, sd in weighted:
         acc += wm
-        if pick <= acc or (wm, m, sd) == weighted[-1]:
-            return bounded_gaussian(state, m, sd, lo, hi)
-    raise AssertionError("unreachable")
+        if pick <= acc:
+            break
+    # a loop that runs out leaves the last component, which takes the residue
+    return bounded_gaussian(state, m, sd, lo, hi)
 
 
 def sample_fat_tail3(state: RngState, p: FatTail3Params, center: float,

@@ -40,7 +40,8 @@ WORKER_RESTARTS = 3
 
 class ObjectiveHandle:
     """Callable objective over normalized space; a non-number becomes NaN.
-    Its dimension is that of ``bounds``."""
+    ``func`` gets the cube point itself (wrap a user-unit ``f`` as
+    ``lambda x: f(denormalize(x, bounds))``); ``bounds`` give the dimension."""
 
     def __init__(self, func: Callable[[np.ndarray], float],
                  bounds: BoundsSpec, name: str = "objective",

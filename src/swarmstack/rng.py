@@ -7,6 +7,9 @@ trials can execute concurrently without sharing generator state.
 The base generator is David Jones's JKISS (a KISS variant combining a linear
 congruential step, a 5/7/22 xorshift and a multiply-with-carry step), chosen
 for its long period and good statistical behavior at a tiny state size.
+
+The truncated gamma is rejection only, for windows that hold a fair share of
+the mass, so no sampler needs a special function beyond ``math.erf``.
 """
 
 from __future__ import annotations
@@ -195,12 +198,7 @@ def bounded_exponential(state: RngState, rate: float,
 
 
 def _gamma_unbounded(state: RngState, shape: float) -> float:
-    """Gamma(shape, 1) via Marsaglia-Tsang squeeze (with the shape<1 boost)."""
-    if shape < 1.0:
-        # Gamma(a) = Gamma(a + 1) * U^(1/a)
-        g = _gamma_unbounded(state, shape + 1.0)
-        u = max(uniform01(state), 1e-300)
-        return g * u ** (1.0 / shape)
+    """Gamma(shape, 1) for shape >= 1 via the Marsaglia-Tsang squeeze."""
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     while True:
@@ -214,86 +212,23 @@ def _gamma_unbounded(state: RngState, shape: float) -> float:
 
 
 _GAMMA_RETRY_CAP = 64
-_BISECT_STEPS = 200
-_INCGAMMA_TERMS = 1000
-_INCGAMMA_EPS = 1e-16
-_LENTZ_TINY = 1e-300
-
-
-def regularized_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x), the Gamma(a, 1) CDF at x.
-
-    A power series where it converges fast (x < a + 1) and a continued
-    fraction for the upper function, by the modified Lentz method, beyond.
-    """
-    if a <= 0.0:
-        raise ValueError(f"shape must be > 0, got {a}")
-    if x <= 0.0:
-        return 0.0
-    if math.isinf(x):
-        return 1.0
-    prefactor = math.exp(a * math.log(x) - x - math.lgamma(a))
-    if x < a + 1.0:
-        # P = x^a e^-x / Gamma(a) * sum_n x^n / (a (a+1) ... (a+n))
-        term = total = 1.0 / a
-        denom = a
-        for _ in range(_INCGAMMA_TERMS):
-            denom += 1.0
-            term *= x / denom
-            total += term
-            if term < total * _INCGAMMA_EPS:
-                break
-        return total * prefactor
-    # Q = x^a e^-x / Gamma(a) * 1/(x+1-a- 1(1-a)/(x+3-a- 2(2-a)/(x+5-a- ...)))
-    b = x + 1.0 - a
-    c = 1.0 / _LENTZ_TINY
-    d = 1.0 / b
-    frac = d
-    for i in range(1, _INCGAMMA_TERMS):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _LENTZ_TINY:
-            d = _LENTZ_TINY
-        c = b + an / c
-        if abs(c) < _LENTZ_TINY:
-            c = _LENTZ_TINY
-        d = 1.0 / d
-        step = d * c
-        frac *= step
-        if abs(step - 1.0) < _INCGAMMA_EPS:
-            break
-    return 1.0 - prefactor * frac
 
 
 def truncated_gamma(state: RngState, shape: float, scale: float,
                     lo: float, hi: float) -> float:
-    """Gamma(shape, scale) conditioned on [lo, hi].
+    """Gamma(shape, scale) conditioned on [lo, hi], for shape >= 1.
 
-    Rejection against the unconditional sampler, capped at 64 tries; if the
-    truncation window is too improbable the draw falls back to inverse-CDF
-    bisection on the window, so the call always terminates.
+    Plain rejection against the unconditional sampler, meant for windows
+    that hold a fair share of the mass: after 64 misses it raises
+    RuntimeError rather than fall back on another method.
     """
-    if shape <= 0.0 or scale <= 0.0:
-        raise ValueError(f"shape and scale must be > 0, got {shape}, {scale}")
+    if not (shape >= 1.0 and scale > 0.0):
+        raise ValueError(f"need shape >= 1 and scale > 0, got {shape}, {scale}")
     if lo < 0.0 or hi <= lo:
         raise ValueError(f"invalid interval [{lo}, {hi}]")
     for _ in range(_GAMMA_RETRY_CAP):
         g = scale * _gamma_unbounded(state, shape)
         if lo <= g <= hi:
             return g
-    # Deterministic fallback: invert the regularized incomplete gamma
-    # restricted to [lo, hi] by bisection.
-    f_lo = regularized_lower_gamma(shape, lo / scale)
-    f_hi = regularized_lower_gamma(shape, hi / scale)
-    target = f_lo + uniform01(state) * (f_hi - f_lo)
-    a, b = lo, hi if not math.isinf(hi) else scale * (shape + 40.0)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (a + b)
-        if regularized_lower_gamma(shape, mid / scale) < target:
-            a = mid
-        else:
-            b = mid
-        if b - a <= 1e-14 * max(1.0, abs(b)):
-            break
-    return min(max(0.5 * (a + b), lo), hi)
+    raise RuntimeError(f"truncated gamma rejection missed [{lo}, {hi}] "
+                       f"{_GAMMA_RETRY_CAP} times")

@@ -25,10 +25,11 @@ scheduling, and ``threads = N`` reproduces ``threads = 1`` bit for bit.
 
 from __future__ import annotations
 
+import math
 import pickle
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Optional, Sequence
 
@@ -80,6 +81,9 @@ class RunConfig:
         # the options are checked here, as a whole, and not field by field:
         # a valid set can pass through invalid ones while it is built
         opts = self.options
+        for f in fields(opts):  # each is a bool or a number
+            if not math.isfinite(getattr(opts, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not opts.fat_tail3_s_divisor > 0.0:
             raise ValueError("fat_tail3_s_divisor must be > 0")
         opts.notch_params(1.0)  # the parameter classes check their fields

@@ -239,12 +239,28 @@ class TestRunCommand:
         ("fatTail3.s_divisor", "-2"), ("recombine.ratio_low_t", "0.5"),
         ("recombine.ratio_high_t", "1"), ("r_eq.base", "-5"),
         ("r_eq.slope", "-0.5"), ("tol", "0"), ("fatTail3.c1", "-1"),
-        ("mutation_prob", "3"), ("mutation_prob", "-0.1")])
+        ("mutation_prob", "3"), ("mutation_prob", "-0.1"),
+        ("fatTail3.c1", "nan"), ("fatTail3.c1", "inf"),
+        ("fatTail3.c2", "nan"), ("notch_exponent", "nan")])
     def test_bad_option_fails_before_the_run(self, key, value, tmp_path,
                                              capsys):
         out = tmp_path / "out"
         rc = cli.main(["--trials", "1", "--evals_per_trial", "150",
                        f"--{key}", value, "--out_dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("planes", [
+        "0-5", "1 0/0.7 0.7", "1 0/0.7071067811865476 0.7071067811865476"],
+        ids=["axis-out-of-range", "not-unit-length", "not-orthogonal"])
+    def test_bad_plane_spec_fails_before_the_run(self, planes, tmp_path,
+                                                 capsys):
+        out = tmp_path / "out"
+        rc = cli.main(["--trials", "1", "--evals_per_trial", "150",
+                       "--emit_projections", "true",
+                       "--projection_planes", planes, "--out_dir", str(out)])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
@@ -313,15 +329,12 @@ class TestProjections:
             assert -1e-12 <= pu <= 1 + 1e-12
             assert -1e-12 <= pv <= 1 + 1e-12
 
-    def test_non_orthonormal_plane_rejected(self, tmp_path):
-        history = [rated([0.5, 0.5], 0.0)]
-        bad = [("bad", np.array([1.0, 0.0]), np.array([0.7, 0.7]))]
+    def test_non_orthonormal_plane_rejected(self):
         with pytest.raises(ValueError, match="unit length"):
-            cli.export_projections(history, bad, tmp_path)
-        bad2 = [("bad2", np.array([1.0, 0.0]),
-                 np.array([math.sqrt(0.5), math.sqrt(0.5)]))]
+            cli.parse_planes("1 0/0.7 0.7", 2)
+        r = repr(math.sqrt(0.5))
         with pytest.raises(ValueError, match="orthogonal"):
-            cli.export_projections(history, bad2, tmp_path)
+            cli.parse_planes(f"1 0/{r} {r}", 2)
 
     def test_empty_history_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):

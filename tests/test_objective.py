@@ -88,6 +88,18 @@ class TestEvalCounting:
         assert ctx.eval_count == 5
 
 
+class TestHandleContract:
+    def test_func_gets_the_normalized_point(self):
+        # the handle does not map to user units: a user-unit function wraps
+        # itself with denormalize, as the benchmarks do
+        bounds = BoundsSpec.from_pairs([(-5.0, 5.0)])
+        h = obj.ObjectiveHandle(lambda x: float(x[0]), bounds)
+        assert h.evaluate(np.array([0.5])) == 0.5
+        wrapped = obj.ObjectiveHandle(
+            lambda x: float(denormalize(x, bounds)[0]), bounds)
+        assert wrapped.evaluate(np.array([0.5])) == 0.0
+
+
 class TestBenchmarks:
     def test_sphere_center_is_zero(self):
         h = obj.make_benchmark("sphere", 4)

@@ -203,7 +203,10 @@ class TestRunConfigValidation:
         {"fat_tail3_k1": 0.5}, {"fat_tail3_s_divisor": 0.0},
         {"notch_exponent": 0.0}, {"recombine_ratio_high_t": 0.9},
         {"r_eq_base": -0.01}, {"r_eq_base": 0.01, "r_eq_slope": -0.02},
-        {"linmin_tol": 0.0}, {"mutation_prob": 1.5}])
+        {"linmin_tol": 0.0}, {"mutation_prob": 1.5},
+        # non-finite values, which the range checks alone let through
+        {"fat_tail3_c1": math.nan}, {"fat_tail3_c1": math.inf},
+        {"fat_tail3_c2": math.nan}, {"notch_exponent": math.nan}])
     def test_bad_options_rejected(self, bad):
         h = make_benchmark("sphere", 2)
         with pytest.raises(ValueError):

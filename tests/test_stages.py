@@ -4,6 +4,7 @@ from collections import Counter, deque
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from helpers import assert_stack_invariants, reference_run_proximal
 from swarmstack import rng as R
@@ -256,6 +257,18 @@ class TestCharacteristicDistance:
         peak_center = 0.5 * (edges[np.argmax(hist)] + edges[np.argmax(hist) + 1])
         # untruncated mode = scale * (shape - 1) = 3.3, bin width ~0.7
         assert abs(peak_center - 3.3) <= 0.75
+
+    @pytest.mark.parametrize("dim", [1, 2, 11, 130])
+    def test_window_holds_most_of_the_mass(self, dim, monkeypatch):
+        # truncated_gamma gives up after 64 misses, so its window must hold
+        # a fair share of the law: with 80% the cap trips with p < 0.2**64
+        seen = []
+        monkeypatch.setattr(S, "truncated_gamma",
+                            lambda rng, *args: seen.append(args) or 1.0)
+        S.sample_characteristic_distance(R.seed(51, 3), dim)
+        (shape, scale, lo, hi), = seen
+        mass = stats.gamma.cdf([lo, hi], shape, scale=scale)
+        assert mass[1] - mass[0] >= 0.8
 
     def test_varies(self):
         state = R.seed(51, 2)
