@@ -49,17 +49,17 @@ def main(argv=None):
     t = args.temperature
     s = D.scale_for_temperature(t)
 
-    tp = D.TwinPeaksParams(s=s)
+    # the plain twin_peaks law is the notch law's mixture of components
+    notch = AlgorithmOptions().notch_params(t)
+    comps = notch.components
     state = R.seed(args.seed, 0)
-    lo, hi = -6 * s * tp.ks, 6 * s * tp.ks
-    comps = D._mixture(tp)
+    lo, hi = -6 * s * D.KS, 6 * s * D.KS
     draws = np.array([D._sample_truncated_mixture(state, comps, lo, hi)
                       for _ in range(args.n)])
-    mass = quad(lambda x: mixture_pdf(x, tp), lo, hi)[0]
+    mass = quad(lambda x: mixture_pdf(x, comps), lo, hi)[0]
     dump(out / "twin_peaks.tsv", draws,
-         lambda x: mixture_pdf(x, tp) / mass, lo, hi)
+         lambda x: mixture_pdf(x, comps) / mass, lo, hi)
 
-    notch = D.NotchParams(tp)
     state = R.seed(args.seed, 1)
     draws = np.array([D.sample_notch_twin_peaks(state, notch, lo, hi)
                       for _ in range(args.n)])
@@ -71,10 +71,10 @@ def main(argv=None):
     center = 0.3
     draws = np.array([D.sample_fat_tail3(state, ft, center, 0.0, 1.0)
                       for _ in range(args.n)])
-    mass = quad(lambda x: mixture_pdf(x - center, ft), 0.0, 1.0,
+    mass = quad(lambda x: mixture_pdf(x - center, ft.components), 0.0, 1.0,
                 limit=400)[0]
     dump(out / "fat_tail3.tsv", draws,
-         lambda x: mixture_pdf(x - center, ft) / mass, 0.0, 1.0)
+         lambda x: mixture_pdf(x - center, ft.components) / mass, 0.0, 1.0)
 
     rate = recombine_rate(t)
     state = R.seed(args.seed, 3)

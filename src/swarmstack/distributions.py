@@ -1,29 +1,39 @@
 """Step-length and mutation distributions used by the search stages.
 
-Three bespoke families live here, all built from Gaussian components:
+Two laws live here, both built from Gaussian components:
 
-* ``twin_peaks`` -- two symmetric off-center Gaussians plus a wider central
-  one.  Tuned so the density is quasi-flat near zero and fat-tailed, which
-  keeps most steps local while still allowing occasional long jumps.
-* ``notch_twin_peaks`` -- twin_peaks multiplied by |x|**p, which carves a
-  notch at zero so near-null steps (that would re-evaluate an already known
-  neighborhood) become rare.
+* ``notch_twin_peaks`` -- the twin_peaks mixture (two symmetric off-center
+  Gaussians plus a wider central one, quasi-flat near zero and fat-tailed)
+  multiplied by |x|**p, which carves a notch at zero so near-null steps
+  (that would re-evaluate an already known neighborhood) become rare.
 * ``fat_tail3`` -- three concentric zero-mean Gaussians of widening spread,
   used for gene mutation: mostly small perturbations around the inherited
   value with a heavy-tailed chance of a large move.
 
-All samplers draw through an explicit RngState and support truncation to a
-finite interval; truncated mixtures are sampled exactly by reweighting each
-component by its mass inside the interval and then drawing that component's
-conditional law.  The module holds only the samplers the stages call; the
-reference densities the tests check them against live with the tests.
+Each parameter bundle computes its (weight, mean, sd) components once.  One
+function draws every truncated mixture exactly: it reweights each component
+by its mass inside the interval, picks one, and draws that component's
+conditional law with the mass it already has.  The module holds only the
+samplers the stages call; the reference densities the tests check them
+against live with the tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .rng import RngState, bounded_gaussian, normal_cdf, uniform01
+from .rng import RngState, gaussian, normal_cdf, uniform01
+
+# twin_peaks shape: side peaks at +-KT*s, central weight Q and sd KS*s
+KT = 1.1
+Q = 0.3
+KS = 2.5
+
+# Below this acceptance mass the draw-and-discard loop is expected to need
+# more than four tries, so sampling switches to interval rejection.
+_MASS_SWITCH = 0.25
 
 
 def scale_for_temperature(t: float) -> float:
@@ -34,50 +44,37 @@ def scale_for_temperature(t: float) -> float:
 
 
 @dataclass(frozen=True)
-class TwinPeaksParams:
-    """Shape parameters of the three-Gaussian step distribution.
-
-    ``s`` is the base standard deviation, ``kt`` the offset of the side
-    peaks in units of s, ``q`` the weight of the central component and
-    ``ks`` its widening factor.
-    """
+class NotchParams:
+    """twin_peaks of base sd ``s`` times a |x|**notch_exponent factor."""
 
     s: float
-    kt: float = 1.1
-    q: float = 0.3
-    ks: float = 2.5
+    notch_exponent: float
 
     def __post_init__(self):
-        if not self.s > 0.0:
+        if not (self.s > 0.0):
             raise ValueError(f"s must be > 0, got {self.s}")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {self.q}")
-        if not (self.kt >= 0.0 and self.ks > 0.0):
-            raise ValueError("kt must be >= 0 and ks > 0")
-
-
-@dataclass(frozen=True)
-class NotchParams:
-    """twin_peaks corrected by a |x|**notch_exponent factor at the origin."""
-
-    base: TwinPeaksParams
-    notch_exponent: float = 1.0 / 6.0
-
-    def __post_init__(self):
-        if not self.notch_exponent > 0.0:
+        if not (self.notch_exponent > 0.0):
             raise ValueError("notch_exponent must be > 0")
+
+    @cached_property
+    def components(self) -> list[tuple[float, float, float]]:
+        """(weight, mean, sd) of the twin_peaks mixture under the notch."""
+        side = (1.0 - Q) / 2.0
+        return [(side, -KT * self.s, self.s),
+                (side, KT * self.s, self.s),
+                (Q, 0.0, KS * self.s)]
 
 
 @dataclass(frozen=True)
 class FatTail3Params:
     """Mixture weights c1..c3 and widening factors 1 < k1 < k2 over core sd s."""
 
-    c1: float = 15.0
-    c2: float = 4.0
-    c3: float = 1.0
-    k1: float = 10.0
-    k2: float = 50.0
-    s: float = 0.02
+    c1: float
+    c2: float
+    c3: float
+    k1: float
+    k2: float
+    s: float
 
     def __post_init__(self):
         # a NaN weight makes the sum NaN, which fails the second test
@@ -89,18 +86,13 @@ class FatTail3Params:
         if not self.s > 0.0:
             raise ValueError(f"s must be > 0, got {self.s}")
 
-
-def _mixture(p) -> list[tuple[float, float, float]]:
-    """(weight, mean, sd) triples of a parameter bundle's components."""
-    if isinstance(p, TwinPeaksParams):
-        side = (1.0 - p.q) / 2.0
-        return [(side, -p.kt * p.s, p.s),
-                (side, p.kt * p.s, p.s),
-                (p.q, 0.0, p.ks * p.s)]
-    total = p.c1 + p.c2 + p.c3
-    return [(p.c1 / total, 0.0, p.s),
-            (p.c2 / total, 0.0, p.s * p.k1),
-            (p.c3 / total, 0.0, p.s * p.k2)]
+    @cached_property
+    def components(self) -> list[tuple[float, float, float]]:
+        """(weight, mean, sd) of the three zero-mean components."""
+        total = self.c1 + self.c2 + self.c3
+        return [(self.c1 / total, 0.0, self.s),
+                (self.c2 / total, 0.0, self.s * self.k1),
+                (self.c3 / total, 0.0, self.s * self.k2)]
 
 
 def _sample_truncated_mixture(state: RngState, components, lo: float,
@@ -108,10 +100,10 @@ def _sample_truncated_mixture(state: RngState, components, lo: float,
     """Exact draw from a Gaussian mixture conditioned on [lo, hi].
 
     Component weights are multiplied by each component's mass inside the
-    interval; the chosen component is then drawn by bounded_gaussian, which
-    together reproduces the truncated mixture law exactly.  Each caller's
-    interval holds the mean of a component of positive weight, so the
-    weighted masses never all vanish.
+    interval; the chosen component is then drawn conditioned on [lo, hi],
+    which together reproduces the truncated mixture law exactly.  Each
+    caller's interval holds the mean of a component of positive weight, so
+    the weighted masses never all vanish.
     """
     if lo >= hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
@@ -121,21 +113,36 @@ def _sample_truncated_mixture(state: RngState, components, lo: float,
         if w <= 0.0:
             continue
         mass = normal_cdf((hi - m) / sd) - normal_cdf((lo - m) / sd)
-        weighted.append((w * mass, m, sd))
+        weighted.append((w * mass, mass, m, sd))
         total += w * mass
     pick = uniform01(state) * total
     acc = 0.0
-    for wm, m, sd in weighted:
+    for wm, mass, m, sd in weighted:
         acc += wm
         if pick <= acc:
             break
     # a loop that runs out leaves the last component, which takes the residue
-    return bounded_gaussian(state, m, sd, lo, hi)
+    if mass >= _MASS_SWITCH:
+        # the interval holds at least a quarter of the component: discard
+        # plain draws until one lands inside
+        while True:
+            g = gaussian(state, m, sd)
+            if lo <= g <= hi:
+                return g
+    # Interval rejection: the density maximum over [lo, hi] sits at the mean
+    # clamped into the interval; log-space comparison avoids underflow.
+    peak = min(max(m, lo), hi)
+    log_peak = -0.5 * ((peak - m) / sd) ** 2
+    while True:
+        x = lo + (hi - lo) * uniform01(state)
+        log_ratio = -0.5 * ((x - m) / sd) ** 2 - log_peak
+        if math.log(max(uniform01(state), 1e-300)) < log_ratio:
+            return x
 
 
 def sample_fat_tail3(state: RngState, p: FatTail3Params, center: float,
                      lo: float, hi: float) -> float:
-    comps = [(w, m + center, sd) for w, m, sd in _mixture(p)]
+    comps = [(w, m + center, sd) for w, m, sd in p.components]
     return _sample_truncated_mixture(state, comps, lo, hi)
 
 
@@ -154,7 +161,7 @@ def sample_notch_twin_peaks(state: RngState, np_: NotchParams,
         raise ValueError(f"empty interval [{lo}, {hi}]")
     p = np_.notch_exponent
     bound = max(abs(lo), abs(hi)) ** p
-    comps = _mixture(np_.base)
+    comps = np_.components
     for _ in range(_NOTCH_REJECT_CAP):
         x = _sample_truncated_mixture(state, comps, lo, hi)
         if x == 0.0:

@@ -44,9 +44,12 @@ class BoundsSpec:
         object.__setattr__(self, "upper", upper)
         if lower.ndim != 1 or lower.shape != upper.shape or lower.size < 1:
             raise ValueError("bounds must be two equal-length 1-D arrays")
-        bad = np.nonzero(~(lower < upper))[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = (lower < upper) & np.isfinite(upper - lower)
+        bad = np.nonzero(~ok)[0]
         if bad.size:
-            raise ValueError(f"lower >= upper for parameter {bad[0]}")
+            raise ValueError(f"bounds of parameter {bad[0]} must be finite, "
+                             "with lower < upper and a finite width")
 
     @property
     def dim(self) -> int:

@@ -20,8 +20,8 @@ from .domain import LineSegment, point_on_line
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 _SHRINK_FACTOR = 0.9  # parabolic steps must beat golden by shrinking >= 10%
+_N_SCAN = 12  # interior grid points of the scan
 
-DEFAULT_N_SCAN = 12
 DEFAULT_K_REFINE = 2
 DEFAULT_TOL = 1e-4
 DEFAULT_EVAL_CAP = 60
@@ -133,7 +133,7 @@ def _refine_bracket(probe: _LineProbe, a, m, b, fa, fm, fb, tol):
     return m, fm
 
 
-def _golden_interval(probe: _LineProbe, lo, hi, flo, fhi, tol):
+def _golden_interval(probe: _LineProbe, lo, hi, tol):
     """Golden-section search on [lo, hi]; converges to boundary minima too."""
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
@@ -145,12 +145,12 @@ def _golden_interval(probe: _LineProbe, lo, hi, flo, fhi, tol):
     fd = probe(d)
     while (hi - lo) > tol and probe.remaining() > 0:
         if fc <= fd:
-            hi, fhi = d, fd
+            hi = d
             d, fd = c, fc
             c = hi - _GOLDEN * (hi - lo)
             fc = probe(c)
         else:
-            lo, flo = c, fc
+            lo = c
             c, fc = d, fd
             d = lo + _GOLDEN * (hi - lo)
             fd = probe(d)
@@ -158,7 +158,7 @@ def _golden_interval(probe: _LineProbe, lo, hi, flo, fhi, tol):
 
 def minimize_on_line(objective, seg: LineSegment, tol: float = DEFAULT_TOL,
                      eval_cap: int = DEFAULT_EVAL_CAP, f0: float | None = None,
-                     known_points: tuple = (), n_scan: int = DEFAULT_N_SCAN,
+                     known_points: tuple = (),
                      k_refine: int = DEFAULT_K_REFINE) -> LinminResult:
     """Find the best point of the objective restricted to a segment.
 
@@ -189,8 +189,9 @@ def minimize_on_line(objective, seg: LineSegment, tol: float = DEFAULT_TOL,
     if width <= 0.0:
         return LinminResult(probe.t_best, probe.f_best, probe.used,
                             truncated=False, nonfinite_seen=probe.nonfinite)
-    targets = [a, b] + [a + width * i / (n_scan + 1) for i in range(1, n_scan + 1)]
-    min_gap = width / (4.0 * (n_scan + 1))
+    targets = [a, b] + [a + width * i / (_N_SCAN + 1)
+                        for i in range(1, _N_SCAN + 1)]
+    min_gap = width / (4.0 * (_N_SCAN + 1))
     for t in targets:
         if probe.remaining() <= 0:
             break
@@ -213,10 +214,9 @@ def minimize_on_line(objective, seg: LineSegment, tol: float = DEFAULT_TOL,
                                 fs[i - 1], fs[i], fs[i + 1])))
     if len(ts) >= 2:
         if fs[0] <= fs[1] and math.isfinite(fs[0]):
-            candidates.append((fs[0], "edge", (ts[0], ts[1], fs[0], fs[1])))
+            candidates.append((fs[0], "edge", (ts[0], ts[1])))
         if fs[-1] <= fs[-2] and math.isfinite(fs[-1]):
-            candidates.append((fs[-1], "edge",
-                               (ts[-2], ts[-1], fs[-2], fs[-1])))
+            candidates.append((fs[-1], "edge", (ts[-2], ts[-1])))
     candidates.sort(key=lambda c: c[0])
 
     # --- refine the best few candidates within the remaining budget
@@ -228,9 +228,9 @@ def minimize_on_line(objective, seg: LineSegment, tol: float = DEFAULT_TOL,
             if (cb - ca) > tol:
                 _refine_bracket(probe, ca, cm, cb, fa, fm, fb, tol)
         else:
-            lo, hi, flo, fhi = payload
+            lo, hi = payload
             if (hi - lo) > tol:
-                _golden_interval(probe, lo, hi, flo, fhi, tol)
+                _golden_interval(probe, lo, hi, tol)
 
     return LinminResult(probe.t_best, probe.f_best, probe.used,
                         truncated=probe.remaining() <= 0,

@@ -339,6 +339,8 @@ class ExternalObjective(ObjectiveHandle):
 
     def __init__(self, command: str, bounds: BoundsSpec,
                  timeout: float = 30.0):
+        if not (0.0 < timeout < math.inf):
+            raise ValueError(f"timeout must be finite and > 0, got {timeout}")
         super().__init__(_Worker(command, bounds, timeout), bounds,
                          name=f"external:{command}")
 

@@ -8,8 +8,11 @@ The base generator is David Jones's JKISS (a KISS variant combining a linear
 congruential step, a 5/7/22 xorshift and a multiply-with-carry step), chosen
 for its long period and good statistical behavior at a tiny state size.
 
-The truncated gamma is rejection only, for windows that hold a fair share of
-the mass, so no sampler needs a special function beyond ``math.erf``.
+The primitives here are the uniform, Gaussian, bounded exponential and
+truncated gamma draws, plus the normal CDF; truncated Gaussian mixtures are
+drawn in :mod:`swarmstack.distributions`.  The truncated gamma is rejection
+only, for windows that hold a fair share of the mass, so no sampler needs a
+special function beyond ``math.erf``.
 """
 
 from __future__ import annotations
@@ -144,41 +147,6 @@ _SQRT1_2 = math.sqrt(0.5)
 def normal_cdf(x: float) -> float:
     """Standard normal CDF."""
     return 0.5 * (1.0 + math.erf(x * _SQRT1_2))
-
-
-# Below this untruncated acceptance mass the draw-and-discard loop is expected
-# to need more than four tries, so sampling switches to interval rejection.
-_MASS_SWITCH = 0.25
-
-
-def bounded_gaussian(state: RngState, mean: float, sd: float,
-                     lo: float, hi: float) -> float:
-    """Normal(mean, sd) conditioned on [lo, hi].
-
-    When the interval holds at least a quarter of the untruncated mass,
-    plain draws are discarded until one lands inside.  Otherwise candidates
-    are proposed uniformly on the interval and accepted against the density
-    peak there; both routes sample the identical conditional law.
-    """
-    if sd <= 0.0:
-        raise ValueError(f"sd must be > 0, got {sd}")
-    if lo >= hi:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    mass = normal_cdf((hi - mean) / sd) - normal_cdf((lo - mean) / sd)
-    if mass >= _MASS_SWITCH:
-        while True:
-            g = gaussian(state, mean, sd)
-            if lo <= g <= hi:
-                return g
-    # Interval rejection: the density maximum over [lo, hi] sits at the mean
-    # clamped into the interval; log-space comparison avoids underflow.
-    peak = min(max(mean, lo), hi)
-    log_peak = -0.5 * ((peak - mean) / sd) ** 2
-    while True:
-        x = lo + (hi - lo) * uniform01(state)
-        log_ratio = -0.5 * ((x - mean) / sd) ** 2 - log_peak
-        if math.log(max(uniform01(state), 1e-300)) < log_ratio:
-            return x
 
 
 def bounded_exponential(state: RngState, rate: float,

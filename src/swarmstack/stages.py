@@ -25,9 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import (FatTail3Params, NotchParams, TwinPeaksParams,
-                            sample_fat_tail3, sample_notch_twin_peaks,
-                            scale_for_temperature)
+from .distributions import (FatTail3Params, NotchParams, sample_fat_tail3,
+                            sample_notch_twin_peaks, scale_for_temperature)
 from .domain import LineSegment, line_domain, point_on_line, \
     random_unit_direction
 from .linmin import DEFAULT_TOL, minimize_on_line
@@ -76,8 +75,7 @@ class AlgorithmOptions:
         return dim * (self.r_eq_base + self.r_eq_slope * t)
 
     def notch_params(self, t: float) -> NotchParams:
-        return NotchParams(TwinPeaksParams(s=scale_for_temperature(t)),
-                           self.notch_exponent)
+        return NotchParams(scale_for_temperature(t), self.notch_exponent)
 
     def fat_tail3_params(self, t: float) -> FatTail3Params:
         return FatTail3Params(c1=self.fat_tail3_c1, c2=self.fat_tail3_c2,
@@ -193,21 +191,18 @@ def choose_n_recombine(rng: RngState, rate: float, n_stack: int) -> int:
     return 2 if n_stack == 2 else int(round(2.0 + x * (n_stack - 2)))
 
 
-def recombine(ctx: TrialContext) -> np.ndarray:
+def recombine(ctx: TrialContext, rate: float,
+              fat_tail: FatTail3Params) -> np.ndarray:
     """Produce one child by multi-parent coordinate recombination.
 
     The parent pool is the best n entries (n drawn by the bounded
-    exponential); each coordinate picks its donor by an analogous draw
-    mapped onto [1, n], then mutates with the fat-tailed kernel at the
-    configured probability.
+    exponential of parent-selection ``rate``); each coordinate picks its
+    donor by an analogous draw mapped onto [1, n], then mutates with the
+    ``fat_tail`` kernel at the configured probability.
     """
     opts = ctx.options
-    t = ctx.temperature
-    rate = recombine_rate(t, opts.recombine_ratio_high_t,
-                          opts.recombine_ratio_low_t)
     n = choose_n_recombine(ctx.rng, rate, len(ctx.stack.entries))
     parents = ctx.stack.entries[:n]
-    fat_tail = opts.fat_tail3_params(t)
     child = np.empty(ctx.dim)
     for j in range(ctx.dim):
         x = bounded_exponential(ctx.rng, rate, 0.0, 1.0)
@@ -222,9 +217,13 @@ def run_genetic(ctx: TrialContext, budget: int) -> None:
     """Stage two: recombination with mutation; selection is better-in-worst-out."""
     if len(ctx.stack.entries) < 2:
         return
+    opts = ctx.options
+    rate = recombine_rate(ctx.temperature, opts.recombine_ratio_high_t,
+                          opts.recombine_ratio_low_t)
+    fat_tail = opts.fat_tail3_params(ctx.temperature)
     end = ctx.eval_count + budget
     while ctx.eval_count < end:
-        child = recombine(ctx)
+        child = recombine(ctx, rate, fat_tail)
         ctx.offer(child, ctx.evaluate(child))
 
 

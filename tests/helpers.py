@@ -11,8 +11,7 @@ import numpy as np
 from scipy import integrate, stats
 from scipy.optimize import brentq
 
-from swarmstack.distributions import (FatTail3Params, NotchParams,
-                                      TwinPeaksParams, _mixture)
+from swarmstack.distributions import NotchParams
 from swarmstack.domain import BoundsSpec, LineSegment, point_on_line
 from swarmstack.stages import (ATTRACTOR_RETRY_CAP, DIRECTION_COS_TOL,
                                attractiveness, direction_is_new,
@@ -28,9 +27,10 @@ def gauss_pdf(x: float, mean: float, sd: float) -> float:
     return _INV_SQRT_2PI / sd * math.exp(-0.5 * u * u)
 
 
-def mixture_pdf(x: float, p: TwinPeaksParams | FatTail3Params) -> float:
-    """Density at ``x`` of the twin_peaks or fat_tail3 mixture ``p``."""
-    return sum(w * gauss_pdf(x, m, sd) for w, m, sd in _mixture(p) if w > 0)
+def mixture_pdf(x: float, components) -> float:
+    """Density at ``x`` of a list of (weight, mean, sd) Gaussian components,
+    such as the twin_peaks or fat_tail3 mixture's ``components``."""
+    return sum(w * gauss_pdf(x, m, sd) for w, m, sd in components if w > 0)
 
 
 def notch_twin_peaks_pdf(np_: NotchParams, lo: float, hi: float):
@@ -41,7 +41,7 @@ def notch_twin_peaks_pdf(np_: NotchParams, lo: float, hi: float):
     p = np_.notch_exponent
 
     def unnormalized(x):
-        return abs(x) ** p * mixture_pdf(x, np_.base)
+        return abs(x) ** p * mixture_pdf(x, np_.components)
 
     area = integrate.quad(unnormalized, lo, hi, points=[0.0], limit=400)[0]
 

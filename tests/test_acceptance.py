@@ -101,16 +101,15 @@ def test_criterion_3_distribution_laws():
     n = 100_000
     checks = []
 
-    tp = D.TwinPeaksParams(s=0.4)
+    notch = D.NotchParams(0.4, 1 / 6)
+    comps = notch.components  # the twin_peaks law under the notch
     state = R.seed(9001, 0)
-    draws = np.array([D._sample_truncated_mixture(state, D._mixture(tp),
-                                                  -0.6, 1.0)
+    draws = np.array([D._sample_truncated_mixture(state, comps, -0.6, 1.0)
                       for _ in range(n)])
-    mass = integrate.quad(lambda x: mixture_pdf(x, tp), -0.6, 1.0)[0]
+    mass = integrate.quad(lambda x: mixture_pdf(x, comps), -0.6, 1.0)[0]
     checks.append(("twinPeaks", chi_square_vs_pdf(
-        draws, lambda x: mixture_pdf(x, tp) / mass, -0.6, 1.0)))
+        draws, lambda x: mixture_pdf(x, comps) / mass, -0.6, 1.0)))
 
-    notch = D.NotchParams(tp)
     state = R.seed(9001, 1)
     draws = np.array([D.sample_notch_twin_peaks(state, notch, -1.0, 1.0)
                       for _ in range(n)])
@@ -123,10 +122,11 @@ def test_criterion_3_distribution_laws():
     state = R.seed(9001, 2)
     draws = np.array([D.sample_fat_tail3(state, ft, 0.3, 0.0, 1.0)
                       for _ in range(n)])
-    ft_mass = integrate.quad(lambda x: mixture_pdf(x - 0.3, ft), 0, 1,
-                             limit=400)[0]
+    ft_mass = integrate.quad(lambda x: mixture_pdf(x - 0.3, ft.components),
+                             0, 1, limit=400)[0]
     checks.append(("fatTail3", chi_square_vs_pdf(
-        draws, lambda x: mixture_pdf(x - 0.3, ft) / ft_mass, 0.0, 1.0)))
+        draws, lambda x: mixture_pdf(x - 0.3, ft.components) / ft_mass,
+        0.0, 1.0)))
 
     rate = math.log(2)
     state = R.seed(9001, 3)

@@ -252,6 +252,35 @@ class TestRunCommand:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
 
+    def test_infinite_bounds_fail_before_the_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = cli.main(["--function", "sphere", "--dim", "2", "--bounds=-inf:1",
+                       "--trials", "1", "--evals_per_trial", "150",
+                       "--out_dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("timeout", ["nan", "-1", "0", "inf"])
+    def test_bad_timeout_fails_before_the_run(self, timeout, tmp_path,
+                                              capsys):
+        import sys as _sys
+        worker = tmp_path / "w.py"
+        worker.write_text(
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    print(sum(float(v) ** 2 for v in line.split()), flush=True)\n")
+        out = tmp_path / "out"
+        rc = cli.main(["--external_cmd", f"{_sys.executable} {worker}",
+                       "--dim", "2", "--bounds=-1:1", "--trials", "1",
+                       "--evals_per_trial", "150", "--timeout", timeout,
+                       "--out_dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("planes", [
         "0-5", "1 0/0.7 0.7", "1 0/0.7071067811865476 0.7071067811865476"],
         ids=["axis-out-of-range", "not-unit-length", "not-orthogonal"])

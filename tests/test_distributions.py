@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ from helpers import (chi_square_vs_pdf, ks_2samp_pvalue, mixture_pdf,
 from swarmstack import distributions as D
 from swarmstack import rng as R
 from swarmstack.stages import AlgorithmOptions
+
+
+# the default fat_tail3 mixture at T = 1 (s = 0.4 / 20)
+FAT_TAIL = D.FatTail3Params(c1=15.0, c2=4.0, c3=1.0, k1=10.0, k2=50.0, s=0.02)
 
 
 def scalar_gauss(x, m, s):
@@ -31,49 +36,38 @@ class TestScaleForTemperature:
 
 class TestTwinPeaksPdf:
     def test_value_at_zero_against_scalar_oracle(self):
-        p = D.TwinPeaksParams(s=1.0, kt=1.1, q=0.3, ks=2.5)
+        comps = D.NotchParams(1.0, 1 / 6).components
         oracle = (0.7 * (scalar_gauss(0, -1.1, 1) + scalar_gauss(0, 1.1, 1)) / 2
                   + 0.3 * scalar_gauss(0, 0, 2.5))
-        assert mixture_pdf(0.0, p) == pytest.approx(oracle, rel=1e-12)
-        assert mixture_pdf(0.0, p) == pytest.approx(0.2003696, abs=1e-6)
+        assert mixture_pdf(0.0, comps) == pytest.approx(oracle, rel=1e-12)
+        assert mixture_pdf(0.0, comps) == pytest.approx(0.2003696, abs=1e-6)
 
     @given(st.floats(-10, 10))
     def test_even_function(self, x):
-        p = D.TwinPeaksParams(s=0.7)
-        assert mixture_pdf(x, p) == pytest.approx(mixture_pdf(-x, p))
+        comps = D.NotchParams(0.7, 1 / 6).components
+        assert mixture_pdf(x, comps) == pytest.approx(mixture_pdf(-x, comps))
 
-    def test_flat_top_when_kt_one_no_center(self):
-        p = D.TwinPeaksParams(s=1.0, kt=1.0, q=0.0)
-        h = 1e-4
-        f0 = mixture_pdf(0.0, p)
-        d1 = (mixture_pdf(h, p) - mixture_pdf(-h, p)) / (2 * h)
-        d2 = (mixture_pdf(h, p) - 2 * f0 + mixture_pdf(-h, p)) / h**2
-        assert abs(d1) < 1e-9
-        assert abs(d2) < 1e-4
-
-    @pytest.mark.parametrize("p", [
-        D.TwinPeaksParams(s=1.0),
-        D.TwinPeaksParams(s=0.4),
-        D.TwinPeaksParams(s=0.05, kt=0.9, q=0.5, ks=2.0),
-    ])
+    @pytest.mark.parametrize("p", [D.NotchParams(1.0, 1 / 6),
+                                   D.NotchParams(0.4, 1 / 6)])
     def test_normalizes_to_one(self, p):
-        total = integrate.quad(lambda x: mixture_pdf(x, p),
-                               -40 * p.s * p.ks, 40 * p.s * p.ks, limit=300)[0]
+        total = integrate.quad(lambda x: mixture_pdf(x, p.components),
+                               -40 * p.s * D.KS, 40 * p.s * D.KS,
+                               limit=300)[0]
         assert total == pytest.approx(1.0, abs=1e-4)
 
     def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            D.TwinPeaksParams(s=0.0)
-        with pytest.raises(ValueError):
-            D.TwinPeaksParams(s=1.0, q=1.5)
+        for s, p in [(0.0, 1 / 6), (math.nan, 1 / 6), (1.0, 0.0),
+                     (1.0, math.nan)]:
+            with pytest.raises(ValueError):
+                D.NotchParams(s, p)
 
 
 class TestSampleTwinPeaks:
     def test_wide_bounds_match_untruncated_mixture(self):
         st_ = R.seed(32, 0)
-        p = D.TwinPeaksParams(s=1.0)
+        comps = D.NotchParams(1.0, 1 / 6).components
         mine = np.array([
-            D._sample_truncated_mixture(st_, D._mixture(p), -20.0, 20.0)
+            D._sample_truncated_mixture(st_, comps, -20.0, 20.0)
             for _ in range(100_000)])
         orng = np.random.default_rng(2024)
         comp = orng.choice(3, p=[0.35, 0.35, 0.3], size=100_000)
@@ -83,22 +77,21 @@ class TestSampleTwinPeaks:
 
     def test_truncated_matches_pdf(self):
         st_ = R.seed(31, 0)
-        p = D.TwinPeaksParams(s=0.4)
+        comps = D.NotchParams(0.4, 1 / 6).components
         lo, hi = -0.6, 1.0
-        comps = D._mixture(p)
         draws = np.array([D._sample_truncated_mixture(st_, comps, lo, hi)
                           for _ in range(100_000)])
         assert draws.min() >= lo and draws.max() <= hi
-        mass = integrate.quad(lambda x: mixture_pdf(x, p), lo, hi)[0]
-        pv = chi_square_vs_pdf(draws, lambda x: mixture_pdf(x, p) / mass,
+        mass = integrate.quad(lambda x: mixture_pdf(x, comps), lo, hi)[0]
+        pv = chi_square_vs_pdf(draws, lambda x: mixture_pdf(x, comps) / mass,
                                lo, hi)
         assert pv > 0.001
 
     def test_scale_factor_property(self):
         # the s=0.2 law equals 0.2 times the s=1 law
         a_state, b_state = R.seed(33, 0), R.seed(34, 0)
-        a_comps = D._mixture(D.TwinPeaksParams(s=0.2))
-        b_comps = D._mixture(D.TwinPeaksParams(s=1.0))
+        a_comps = D.NotchParams(0.2, 1 / 6).components
+        b_comps = D.NotchParams(1.0, 1 / 6).components
         a = np.array([D._sample_truncated_mixture(a_state, a_comps, -4.0, 4.0)
                       for _ in range(50_000)])
         b = 0.2 * np.array([
@@ -109,11 +102,21 @@ class TestSampleTwinPeaks:
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             D._sample_truncated_mixture(
-                R.seed(1, 0), D._mixture(D.TwinPeaksParams(s=1.0)), 1.0, 1.0)
+                R.seed(1, 0), D.NotchParams(1.0, 1 / 6).components, 1.0, 1.0)
+
+    @pytest.mark.parametrize("lo, hi", [(-20.0, 20.0), (0.9, 1.0)],
+                             ids=["discard-route", "interval-rejection"])
+    def test_each_mass_computed_once(self, monkeypatch, lo, hi):
+        # two erf calls per component mass, none more for the chosen one
+        erf, calls = math.erf, []
+        monkeypatch.setattr(math, "erf", lambda x: calls.append(x) or erf(x))
+        D._sample_truncated_mixture(
+            R.seed(1, 0), D.NotchParams(1.0, 1 / 6).components, lo, hi)
+        assert len(calls) == 6
 
 
 class TestNotchTwinPeaks:
-    NP = D.NotchParams(D.TwinPeaksParams(s=0.4))
+    NP = D.NotchParams(0.4, 1 / 6)
 
     def test_pdf_zero_at_origin(self):
         assert notch_twin_peaks_pdf(self.NP, -1.0, 1.0)(0.0) == 0.0
@@ -128,7 +131,8 @@ class TestNotchTwinPeaks:
         # varying factor: the ratio drifts by < 25% over [0.35, 1.0]
         xs = np.linspace(0.35, 1.0, 40)
         pdf = notch_twin_peaks_pdf(self.NP, -1.0, 1.0)
-        ratio = np.array([pdf(x) / mixture_pdf(x, self.NP.base) for x in xs])
+        ratio = np.array([pdf(x) / mixture_pdf(x, self.NP.components)
+                          for x in xs])
         assert ratio.max() / ratio.min() < 1.25
 
     def test_sampler_matches_pdf(self):
@@ -150,33 +154,35 @@ class TestNotchTwinPeaks:
 
 class TestFatTail3:
     def test_even_function(self):
-        p = D.FatTail3Params(s=0.02)
+        comps = FAT_TAIL.components
         for x in (0.0, 0.01, 0.3, 1.7):
-            assert mixture_pdf(x, p) == pytest.approx(mixture_pdf(-x, p))
+            assert mixture_pdf(x, comps) == pytest.approx(
+                mixture_pdf(-x, comps))
 
     def test_degenerate_mixture_is_gaussian(self):
-        p = D.FatTail3Params(c1=1.0, c2=0.0, c3=0.0, s=0.1)
+        p = replace(FAT_TAIL, c1=1.0, c2=0.0, c3=0.0, s=0.1)
         for x in (-0.2, 0.0, 0.05, 0.4):
-            assert mixture_pdf(x, p) == pytest.approx(scalar_gauss(x, 0, 0.1))
+            assert mixture_pdf(x, p.components) == pytest.approx(
+                scalar_gauss(x, 0, 0.1))
 
     def test_tail_dominates_core_component(self):
-        p = D.FatTail3Params()
+        p = FAT_TAIL
         w1 = p.c1 / (p.c1 + p.c2 + p.c3)
         x = 6.0 * p.s * p.k1
         core = w1 * scalar_gauss(x, 0.0, p.s)
-        assert mixture_pdf(x, p) > 10.0 * core
+        assert mixture_pdf(x, p.components) > 10.0 * core
 
     def test_normalizes_to_one(self):
         p = AlgorithmOptions().fat_tail3_params(0.5)
-        total = integrate.quad(lambda x: mixture_pdf(x, p),
+        total = integrate.quad(lambda x: mixture_pdf(x, p.components),
                                -60 * p.s * p.k2, 60 * p.s * p.k2, limit=500)[0]
         assert total == pytest.approx(1.0, abs=1e-4)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
-            D.FatTail3Params(c1=0.0, c2=0.0, c3=0.0)
+            replace(FAT_TAIL, c1=0.0, c2=0.0, c3=0.0)
         with pytest.raises(ValueError):
-            D.FatTail3Params(k1=50.0, k2=10.0)
+            replace(FAT_TAIL, k1=50.0, k2=10.0)
 
 
 class TestSampleFatTail3:
@@ -198,7 +204,7 @@ class TestSampleFatTail3:
                           for _ in range(100_000)])
 
         def shifted(x):
-            return mixture_pdf(x - 0.3, ft)
+            return mixture_pdf(x - 0.3, ft.components)
 
         mass = integrate.quad(shifted, 0.0, 1.0, limit=400)[0]
         pv = chi_square_vs_pdf(draws, lambda x: shifted(x) / mass, 0.0, 1.0)
@@ -206,7 +212,7 @@ class TestSampleFatTail3:
 
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
-            D.sample_fat_tail3(R.seed(1, 0), D.FatTail3Params(), 0.5, 0.7, 0.2)
+            D.sample_fat_tail3(R.seed(1, 0), FAT_TAIL, 0.5, 0.7, 0.2)
 
     @given(st.floats(0, 1), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)

@@ -35,6 +35,16 @@ class TestBoundsSpec:
         with pytest.raises(ValueError):
             dom.BoundsSpec.from_pairs([(0.0, 1.0), (3.0, 2.0)])
 
+    @pytest.mark.parametrize("lower, upper", [
+        ([0.0, 0.0], [math.inf, 1.0]), ([0.0, -math.inf], [1.0, 1.0]),
+        ([0.0, math.nan], [1.0, 1.0]), ([-math.inf, 0.0], [math.inf, 1.0]),
+        ([-1e308, 0.0], [1e308, 1.0])],
+        ids=["upper-inf", "lower-minus-inf", "nan", "both-inf",
+             "width-overflows"])
+    def test_rejects_non_finite_bounds(self, lower, upper):
+        with pytest.raises(ValueError, match="finite"):
+            dom.BoundsSpec(lower, upper)
+
     def test_dim_and_width(self):
         b = dom.BoundsSpec.from_pairs([(0, 10), (-5, 5)])
         assert b.dim == 2

@@ -214,6 +214,12 @@ WORKER_SPHERE = textwrap.dedent("""\
 
 
 class TestExternalObjective:
+    @pytest.mark.parametrize("timeout", [math.nan, -1.0, 0.0, math.inf])
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        # checked when the handle is built, before any worker starts
+        with pytest.raises(ValueError, match="timeout"):
+            obj.external_objective("cat", BoundsSpec.unit(2), timeout=timeout)
+
     def test_constant_echo_worker(self, tmp_path):
         script = tmp_path / "w.py"
         script.write_text("import sys\n"

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from helpers import fit_bounded_exp_rate, ks_2samp_pvalue
+from swarmstack import distributions as D
 from swarmstack import rng as R
 
 # First ten outputs of the published JKISS routine from its default seed
@@ -139,23 +140,29 @@ class TestGaussian:
         assert ks_2samp_pvalue(g, -g) > 0.001
 
 
+def bounded_gaussian(state, mean, sd, lo, hi):
+    """Normal(mean, sd) conditioned on [lo, hi], drawn as the one-component
+    truncated mixture; picking the component consumes one uniform."""
+    return D._sample_truncated_mixture(state, [(1.0, mean, sd)], lo, hi)
+
+
 class TestBoundedGaussian:
     def test_rejects_empty_interval(self):
         s = R.seed(1, 0)
         with pytest.raises(ValueError):
-            R.bounded_gaussian(s, 0.0, 1.0, 1.0, 1.0)
+            bounded_gaussian(s, 0.0, 1.0, 1.0, 1.0)
 
     def test_wide_interval_matches_untruncated(self):
         # mass(-8, 8) > 0.999: truncation is invisible at KS resolution
         a = R.seed(11, 0)
         b = R.seed(12, 0)
-        bg = [R.bounded_gaussian(a, 0.0, 1.0, -8.0, 8.0) for _ in range(50_000)]
+        bg = [bounded_gaussian(a, 0.0, 1.0, -8.0, 8.0) for _ in range(50_000)]
         g = [R.gaussian(b, 0.0, 1.0) for _ in range(50_000)]
         assert ks_2samp_pvalue(bg, g) > 0.001
 
     def test_far_tail_monotone_toward_near_bound(self):
         s = R.seed(14, 0)
-        draws = np.array([R.bounded_gaussian(s, 10.0, 1.0, 0.0, 1.0)
+        draws = np.array([bounded_gaussian(s, 10.0, 1.0, 0.0, 1.0)
                           for _ in range(20_000)])
         assert draws.min() >= 0.0 and draws.max() <= 1.0
         # conditional density increases toward 1, so the top half dominates
@@ -165,14 +172,14 @@ class TestBoundedGaussian:
         s = R.seed(15, 0)
         a = 0.3
         for _ in range(50):
-            x = R.bounded_gaussian(s, 0.0, 1.0, a, a + 1e-6)
+            x = bounded_gaussian(s, 0.0, 1.0, a, a + 1e-6)
             assert a <= x <= a + 1e-6
 
     def test_matches_brute_force_rejection_oracle(self):
         # narrow window via the interval-rejection branch (mass < 0.25)
         s = R.seed(13, 0)
         n = 100_000
-        mine = np.array([R.bounded_gaussian(s, 0.7, 0.3, 0.0, 0.25)
+        mine = np.array([bounded_gaussian(s, 0.7, 0.3, 0.0, 0.25)
                          for _ in range(n)])
         orng = np.random.default_rng(999)
         kept = []
@@ -186,7 +193,7 @@ class TestBoundedGaussian:
     @settings(max_examples=100, deadline=None)
     def test_always_inside_bounds(self, mean, sd, lo, width, seed_val):
         s = R.seed(seed_val, 0)
-        x = R.bounded_gaussian(s, mean, sd, lo, lo + width)
+        x = bounded_gaussian(s, mean, sd, lo, lo + width)
         assert lo <= x <= lo + width
 
 

@@ -1,6 +1,7 @@
 """The command-line scripts under scripts/ run end to end on tiny inputs."""
 
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -35,18 +36,35 @@ def test_run_benchmark_writes_summary(tmp_path):
         assert float(row["best_value"]) >= 0.0
 
 
+# SHA-256 of the x and hist_density columns that
+# `export_distribution_tables.py --n 2000` writes, with the numpy build these
+# were recorded on.  Those columns depend only on the sampler draws and on
+# numpy's histogram; the pdf column comes from scipy's quad and is not pinned.
+TABLE_DRAWS_SHA256 = {
+    "twin_peaks.tsv":
+    "c493b746ffae4935c8fe50666ce160a69ea6e48973e341699e62dc7d05dd64a4",
+    "notch_twin_peaks.tsv":
+    "2c43a2dfca8b1e58553a6359adb034a05cdef25b93328091ff47b8ab2ada2ed1",
+    "fat_tail3.tsv":
+    "e30f5ff80a6fb4afbabc00ea37f9420e2536b449b1dd466bc5d9b914b5037c1d",
+    "bounded_exponential.tsv":
+    "b94acc5b1b2bf27fe5fbd84f097b3aa4f9b3d4ec6cac56a7173700d97f248144",
+}
+
+
 def test_export_distribution_tables_writes_tsvs(tmp_path):
     out = tmp_path / "tables"
     run_script("export_distribution_tables.py", "--out-dir", str(out),
                "--n", "2000", cwd=tmp_path)
-    names = {"twin_peaks.tsv", "notch_twin_peaks.tsv", "fat_tail3.tsv",
-             "bounded_exponential.tsv"}
-    assert {p.name for p in out.iterdir()} == names
-    for name in names:
-        lines = (out / name).read_text().splitlines()
-        assert lines[0] == "x\tpdf\thist_density"
-        assert len(lines) == 121
-        assert all(len(line.split("\t")) == 3 for line in lines[1:])
+    assert {p.name for p in out.iterdir()} == set(TABLE_DRAWS_SHA256)
+    for name, digest in TABLE_DRAWS_SHA256.items():
+        rows = [line.split("\t")
+                for line in (out / name).read_text().splitlines()]
+        assert rows[0] == ["x", "pdf", "hist_density"]
+        assert len(rows) == 121
+        assert all(len(row) == 3 for row in rows)
+        draws = "\n".join(f"{row[0]}\t{row[2]}" for row in rows)
+        assert hashlib.sha256(draws.encode()).hexdigest() == digest, name
 
 
 # what `stack_digest.py --evals_per_trial 300` prints with the numpy build

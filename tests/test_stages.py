@@ -130,6 +130,14 @@ class TestChooseNRecombine:
         assert 2 <= n <= n_stack
 
 
+def recombine(ctx):
+    """One child drawn with the laws run_genetic builds for the trial."""
+    opts = ctx.options
+    rate = S.recombine_rate(ctx.temperature, opts.recombine_ratio_high_t,
+                            opts.recombine_ratio_low_t)
+    return S.recombine(ctx, rate, opts.fat_tail3_params(ctx.temperature))
+
+
 class TestRecombine:
     def two_identical_parent_ctx(self, seed_val, dim=10, mutation_prob=0.25):
         h = unit_sphere(0.37, dim)
@@ -143,7 +151,7 @@ class TestRecombine:
     def test_identical_parents_no_mutation_copies(self):
         ctx = self.two_identical_parent_ctx(110, mutation_prob=0.0)
         for _ in range(20):
-            child = S.recombine(ctx)
+            child = recombine(ctx)
             assert np.array_equal(child, np.full(10, 0.42))
 
     def test_no_mutation_selects_from_parent_coordinates(self):
@@ -156,7 +164,7 @@ class TestRecombine:
         for i, p in enumerate(pos):
             ctx.stack.try_insert(RatedPoint(p, float(i), i))
         for _ in range(50):
-            child = S.recombine(ctx)
+            child = recombine(ctx)
             for j in range(3):
                 assert child[j] in {p[j] for p in pos}
 
@@ -164,7 +172,7 @@ class TestRecombine:
         ctx = self.two_identical_parent_ctx(112)
         total = mutated = 0
         for _ in range(10_000):
-            child = S.recombine(ctx)
+            child = recombine(ctx)
             mutated += int(np.sum(child != 0.42))
             total += 10
         assert abs(mutated / total - 0.25) < 0.01
@@ -184,6 +192,16 @@ class TestRunGenetic:
         before = ctx.eval_count
         S.run_genetic(ctx, 137)
         assert ctx.eval_count - before == 137
+
+    def test_builds_its_laws_once(self, monkeypatch):
+        built = []
+        make = S.AlgorithmOptions.fat_tail3_params
+        monkeypatch.setattr(S.AlgorithmOptions, "fat_tail3_params",
+                            lambda opts, t: built.append(t) or make(opts, t))
+        h = unit_sphere(0.37, 2)
+        ctx = make_ctx(h, 61, 0.5, guesses=[(0.2, 0.2), (0.8, 0.8)])
+        S.run_genetic(ctx, 137)
+        assert built == [0.5]
 
     def test_zero_budget_no_op(self):
         h = unit_sphere(0.37, 2)
