@@ -5,7 +5,9 @@ Each case runs ``run_optimization`` with ``collect_history`` on and hashes
 the final stack, the swarm history (value, position bytes and eval_index of
 every point) and the stage records without their wall times.  Two versions
 of the optimizer that print the same digests made the same decisions bit
-for bit.
+for bit.  The digests do not depend on the host's OpenBLAS kernel
+(``OPENBLAS_CORETYPE``) or numpy SIMD level (``NPY_DISABLE_CPU_FEATURES``);
+they may change with the numpy or libm version.
 
 Example:
     python scripts/stack_digest.py --evals_per_trial 4000

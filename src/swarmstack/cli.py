@@ -243,10 +243,10 @@ def parse_planes(spec: str, dim: int) -> list[tuple[str, np.ndarray, np.ndarray]
             if u.size != dim or v.size != dim:
                 raise ValueError(f"plane {chunk!r} has wrong dimension")
             for d in (u, v):
-                if abs(float(np.sqrt(d @ d)) - 1.0) > 1e-9:
+                if abs(float(np.sqrt((d * d).sum())) - 1.0) > 1e-9:
                     raise ValueError(
                         f"plane {chunk!r}: direction not unit length")
-            if abs(float(u @ v)) > 1e-9:
+            if abs(float((u * v).sum())) > 1e-9:
                 raise ValueError(f"plane {chunk!r}: directions not orthogonal")
             planes.append((f"plane{idx}", u, v))
         else:
@@ -269,23 +269,25 @@ def export_projections(history: list[RatedPoint],
 
     Cube projections onto oblique directions span more than one unit; each
     axis is rescaled by its own extent so every table lives in the unit
-    square, matching the cube-face view on coordinate planes.
+    square, matching the cube-face view on coordinate planes.  Projections
+    are fixed-order row sums, so the tables do not depend on the host.
     """
     if not history:
         raise ValueError("empty swarm history: nothing to project")
     out_dir.mkdir(parents=True, exist_ok=True)
+    positions = np.array([p.position for p in history])
     written = []
     for name, u, v in planes:
         u_min = float(np.minimum(u, 0.0).sum())
         v_min = float(np.minimum(v, 0.0).sum())
         u_len = float(np.abs(u).sum())
         v_len = float(np.abs(v).sum())
+        pu = (((positions * u).sum(axis=1) - u_min) / u_len).tolist()
+        pv = (((positions * v).sum(axis=1) - v_min) / v_len).tolist()
         path = out_dir / f"{name}.tsv"
         lines = ["u\tv\tvalue\teval_index"]
-        for p in history:
-            pu = (float(p.position @ u) - u_min) / u_len
-            pv = (float(p.position @ v) - v_min) / v_len
-            lines.append(f"{pu!r}\t{pv!r}\t{float(p.value)!r}\t{p.eval_index}")
+        for p, a, b in zip(history, pu, pv):
+            lines.append(f"{a!r}\t{b!r}\t{float(p.value)!r}\t{p.eval_index}")
         path.write_text("\n".join(lines) + "\n")
         written.append(path)
     return written
@@ -305,6 +307,9 @@ def run_command(config: CliConfig) -> int:
     started = time.perf_counter()
     try:
         stack, diag = run_optimization(run_config, handle)
+    except ValueError as exc:  # such as no guess point with a finite value
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         handle.close()
     elapsed = time.perf_counter() - started

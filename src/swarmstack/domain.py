@@ -77,7 +77,7 @@ def random_unit_direction(state: RngState, dim: int) -> np.ndarray:
         raise ValueError(f"dim must be >= 1, got {dim}")
     while True:
         v = np.array([gaussian(state, 0.0, 1.0) for _ in range(dim)])
-        norm = float(np.sqrt(v @ v))
+        norm = float(np.sqrt((v * v).sum()))
         if norm > 1e-12:
             return v / norm
 

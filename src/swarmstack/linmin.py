@@ -157,15 +157,15 @@ def _golden_interval(probe: _LineProbe, lo, hi, tol):
 
 
 def minimize_on_line(objective, seg: LineSegment, tol: float = DEFAULT_TOL,
-                     eval_cap: int = DEFAULT_EVAL_CAP, f0: float | None = None,
-                     known_points: tuple = (),
+                     eval_cap: int = DEFAULT_EVAL_CAP, known_points: tuple = (),
                      k_refine: int = DEFAULT_K_REFINE) -> LinminResult:
     """Find the best point of the objective restricted to a segment.
 
-    ``f0`` may carry the already-known value at t = 0 (no evaluation is
-    spent on it); ``known_points`` are further free (t, f) pairs, typically
-    the probe that triggered this call.  The result is never worse than the
-    value at t = 0 and evaluation spend never exceeds ``eval_cap``.
+    ``known_points`` are free (t, f) pairs, noted in order before the scan:
+    typically the already-known value at t = 0, then the probe that
+    triggered this call.  t = 0 is evaluated only when no pair gives it.
+    The result is never worse than the value at t = 0 and evaluation spend
+    never exceeds ``eval_cap``.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -176,9 +176,6 @@ def minimize_on_line(objective, seg: LineSegment, tol: float = DEFAULT_TOL,
 
     # --- scan phase: origin, endpoints, interior grid, free known values
     scan: dict[float, float] = {}
-    if f0 is not None:
-        probe.note(0.0, f0)
-        scan[0.0] = f0 if math.isfinite(f0) else math.inf
     for t, f in known_points:
         if a <= t <= b:
             probe.note(t, f)

@@ -64,7 +64,7 @@ class ObjectiveHandle:
 
 
 def _sphere(x):
-    return float(np.dot(x, x))
+    return float((x * x).sum())
 
 
 def _rosenbrock(x):
@@ -77,8 +77,9 @@ def _rastrigin(x):
 
 
 def _ackley(x):
-    return float(-20.0 * np.exp(-0.2 * np.sqrt(np.mean(x * x)))
-                 - np.exp(np.mean(np.cos(2.0 * np.pi * x))) + 20.0 + math.e)
+    # math.exp: numpy's exp takes a SIMD path that depends on the host
+    return (-20.0 * math.exp(-0.2 * math.sqrt(np.mean(x * x)))
+            - math.exp(np.mean(np.cos(2.0 * np.pi * x))) + 20.0 + math.e)
 
 
 def _griewank(x):
@@ -107,10 +108,9 @@ _BENCHMARKS = {
 BENCHMARK_NAMES = tuple(_BENCHMARKS) + ("noisy_rastrigin", "twin_valleys")
 
 
-def _twin_valley_loci(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    a = np.array([0.18 if i % 2 == 0 else 0.26 for i in range(dim)])
-    b = np.array([0.82 if i % 2 == 0 else 0.74 for i in range(dim)])
-    return a, b
+def _twin_valley_loci(dim: int) -> np.ndarray:  # one minimizer per row
+    return np.array([[0.18 if i % 2 == 0 else 0.26 for i in range(dim)],
+                     [0.82 if i % 2 == 0 else 0.74 for i in range(dim)]])
 
 
 def _point_noise(noise_key: int, x_norm: np.ndarray) -> float:
@@ -162,9 +162,8 @@ class BenchmarkFunction:
 
     def __call__(self, x_norm: np.ndarray) -> float:
         if self.loci is not None:
-            da = x_norm - self.loci[0]
-            db = x_norm - self.loci[1]
-            return float(min(np.dot(da, da), np.dot(db, db)))
+            d = x_norm - self.loci
+            return min((d * d).sum(axis=1).tolist())
         value = self.func(denormalize(x_norm, self.bounds))
         if self.noise_key is not None:
             value += _point_noise(self.noise_key, x_norm)

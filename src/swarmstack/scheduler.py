@@ -178,6 +178,10 @@ def run_trial(config: RunConfig, objective: ObjectiveHandle, temperature: float,
     for guess in guess_points:
         position = np.asarray(guess, dtype=float)
         ctx.offer(position, ctx.evaluate(position))
+    if not stack.entries:
+        raise ValueError("no guess point had a finite value "
+                         f"({len(guess_points)} guesses at temperature "
+                         f"{temperature})")
 
     alpha = default_ema_alpha(config.stack_capacity)
     records = []

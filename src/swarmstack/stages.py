@@ -7,13 +7,17 @@
    entries (selection pressure rises as temperature falls) with a 25%
    fat-tailed per-coordinate mutation.
 3. Proximal search: worse points run line minimizations toward "attractors"
-   picked by a temperature- and visibility-dependent attractiveness kernel.
+   picked by a temperature- and visibility-dependent attractiveness kernel,
+   along directions not tried recently.
 4. Swarm along axes: per-axis probes and line minimizations over a randomly
    permuted coordinate sequence, shared by the whole swarm each sweep.
 
 Each stage spends its evaluation budget on the trial's evaluation count and
 stops cleanly once the budget is spent; a line minimization started on the
 last budget unit may overrun by at most its own evaluation cap.
+
+Every dot product is summed in a fixed order, never by BLAS, so a trial
+makes the same decisions on any x86 host.
 """
 
 from __future__ import annotations
@@ -39,10 +43,6 @@ _DEGENERATE_SPAN = 1e-12
 DIRECTION_HISTORY_CAPACITY = 64  # proximal directions remembered per trial
 DIRECTION_COS_TOL = 0.999  # |cos| at or above which a direction is stale
 ATTRACTOR_RETRY_CAP = 5  # line minimizations per proximal query point
-# |cos| above DIRECTION_COS_TOL by which a batched check may reject a
-# direction on its own: rounding errors are some 1e-15, so a direction the
-# exact scalar check would accept is never rejected
-_STALE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def _probe(ctx: TrialContext, origin: RatedPoint, seg: LineSegment, t: float,
     improved = f_cand < origin.value and math.isfinite(f_cand)
     if improved and ctx.options.linmin_on_improvement:
         res = minimize_on_line(ctx.evaluate, seg, tol=ctx.options.linmin_tol,
-                               f0=origin.value, known_points=((t, f_cand),))
+                               known_points=((0.0, origin.value), (t, f_cand)))
         ctx.offer(point_on_line(seg, res.t_best), res.f_best)
     elif improved or offer_worse:
         ctx.offer(candidate, f_cand)
@@ -247,31 +247,31 @@ def sample_characteristic_distance(rng: RngState, dim: int) -> float:
     return truncated_gamma(rng, 2.0, 0.3 * dim, 0.05 * dim, float(dim))
 
 
+def _collinear_rows(directions: np.ndarray, history: deque,
+                    cos_tol: float = DIRECTION_COS_TOL) -> np.ndarray:
+    """Rows of ``directions`` whose |cos| with a remembered direction is at
+    least ``cos_tol``; each cosine is summed coordinate by coordinate, in
+    order, so a row's bits depend neither on the other rows nor on the host.
+    """
+    if not history:
+        return np.zeros(len(directions), dtype=bool)
+    remembered = np.array(history)
+    cos = directions[:, :1] * remembered[:, 0]
+    for k in range(1, directions.shape[1]):
+        cos += directions[:, k:k + 1] * remembered[:, k]
+    return (np.abs(cos) >= cos_tol).any(axis=1)
+
+
 def direction_is_new(history: deque, u: np.ndarray, cos_tol: float) -> bool:
     """True when u is not collinear with any remembered direction.
 
     Sign-insensitive (a line, not a ray).  A new direction is recorded;
     the bounded history evicts its oldest entry.
     """
-    for h in history:
-        if abs(float(np.dot(u, h))) >= cos_tol:
-            return False
+    if _collinear_rows(u[None, :], history, cos_tol)[0]:
+        return False
     history.append(u)
     return True
-
-
-def _stale_rows(directions: np.ndarray, history: deque) -> np.ndarray:
-    """Rows of ``directions`` that are collinear with a remembered direction.
-
-    One matrix product in place of a scalar check per row and history entry.
-    A row is marked only when its |cos| clears the tolerance by a margin far
-    above rounding error, so a mark is a sure rejection; every unmarked row
-    still goes through :func:`direction_is_new`, which alone decides.
-    """
-    if not history:
-        return np.zeros(len(directions), dtype=bool)
-    cos = np.abs(directions @ np.array(history).T).max(axis=1)
-    return cos >= DIRECTION_COS_TOL + _STALE_MARGIN
 
 
 def run_proximal(ctx: TrialContext, budget: int) -> None:
@@ -282,14 +282,15 @@ def run_proximal(ctx: TrialContext, budget: int) -> None:
     minimizes toward the best-ranked ones whose directions were not tried
     recently, stopping at the first improvement (or after the retry cap).
 
-    Per query the directions to all entries and their |cos| against the
-    direction history come from one matrix operation; attractors whose
-    direction is surely stale are skipped without a scalar check, and a
-    query with no other attractor left is not ranked at all.
+    Per query the unit directions to all entries are built once, and one
+    mask over them (:func:`_collinear_rows`) decides which are stale; it is
+    recomputed after each tried direction joins the history.  A query with
+    no usable direction left is not ranked at all.
     """
     if len(ctx.stack.entries) < 2:
         return
     opts = ctx.options
+    history = ctx.direction_history
     end = ctx.eval_count + budget
     while ctx.eval_count < end:
         cycle_start = ctx.eval_count
@@ -304,14 +305,12 @@ def run_proximal(ctx: TrialContext, budget: int) -> None:
             # ctx.offer may change the stack during the walk below; the
             # stack then builds a new positions matrix, so this one stays
             # the snapshot that ``entries`` was taken from.
-            positions = ctx.stack.positions_matrix()
-            deltas = positions - query.position
-            norms = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
-            norms[norms < _DEGENERATE_SPAN] = np.inf  # left to the exact path
-            directions = deltas / norms[:, None]
-            stale = _stale_rows(directions, ctx.direction_history)
-            stale[qi] = True
-            if stale.all():
+            deltas = ctx.stack.positions_matrix() - query.position
+            norms = np.sqrt((deltas * deltas).sum(axis=1))
+            usable = norms >= _DEGENERATE_SPAN  # not the query's own row
+            directions = deltas / np.where(usable, norms, 1.0)[:, None]
+            fresh = usable & ~_collinear_rows(directions, history)
+            if not fresh.any():
                 continue
             f_worst = ctx.stack.worst.value
             d1 = ctx.stack.d1_distances(query.position).tolist()
@@ -324,24 +323,17 @@ def run_proximal(ctx: TrialContext, budget: int) -> None:
             for i in ranked:
                 if tries >= ATTRACTOR_RETRY_CAP or ctx.eval_count >= end:
                     break
-                if stale[i]:
+                if not fresh[i]:
                     continue
-                attractor = entries[i]
-                delta = attractor.position - query.position
-                norm = float(np.sqrt(delta @ delta))
-                if norm < 1e-12:
-                    continue
-                direction = delta / norm
-                if not direction_is_new(ctx.direction_history, direction,
-                                        DIRECTION_COS_TOL):
-                    continue
-                # the history gained this direction and may have evicted
-                # its oldest one, which can free an attractor marked stale
-                stale = _stale_rows(directions, ctx.direction_history)
+                direction = directions[i].copy()
+                # records it: ``fresh`` has decided, so this returns True
+                direction_is_new(history, direction, DIRECTION_COS_TOL)
+                # it stales its collinear rows; an eviction can free one
+                fresh = usable & ~_collinear_rows(directions, history)
                 tries += 1
                 seg = LineSegment.through(query.position, direction)
                 res = minimize_on_line(ctx.evaluate, seg, tol=opts.linmin_tol,
-                                       f0=query.value)
+                                       known_points=((0.0, query.value),))
                 ctx.offer(point_on_line(seg, res.t_best), res.f_best)
                 if res.f_best < query.value:
                     break

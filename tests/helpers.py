@@ -215,7 +215,7 @@ def reference_run_proximal(ctx, budget):
                 if tries >= ATTRACTOR_RETRY_CAP or used >= budget:
                     break
                 delta = attractor.position - query.position
-                norm = float(np.sqrt(delta @ delta))
+                norm = float(np.sqrt((delta * delta).sum()))
                 if norm < 1e-12:
                     continue
                 direction = delta / norm
@@ -226,7 +226,7 @@ def reference_run_proximal(ctx, budget):
                 seg = LineSegment.through(query.position, direction)
                 res = minimize_on_line(ctx.evaluate, seg,
                                        tol=ctx.options.linmin_tol,
-                                       f0=query.value)
+                                       known_points=((0.0, query.value),))
                 used += res.evals_used
                 ctx.offer(point_on_line(seg, res.t_best), res.f_best)
                 if res.f_best < query.value:

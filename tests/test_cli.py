@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +285,18 @@ class TestRunCommand:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
 
+    def test_no_finite_guess_value_is_one_error_line(self, tmp_path,
+                                                      capsys):
+        # the shell cannot start the command, so every evaluation is NaN
+        rc = cli.main(["--external_cmd", "no_such_command_xyz",
+                       "--bounds=0:1", "--dim", "2", "--trials", "1",
+                       "--evals_per_trial", "100",
+                       "--out_dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: no guess point had a finite value "
+                       "(3 guesses at temperature 1.0)"]
+
     @pytest.mark.parametrize("planes", [
         "0-5", "1 0/0.7 0.7", "1 0/0.7071067811865476 0.7071067811865476"],
         ids=["axis-out-of-range", "not-unit-length", "not-orthogonal"])
@@ -357,6 +373,36 @@ class TestProjections:
             pu, pv = (float(x) for x in row.split("\t")[:2])
             assert -1e-12 <= pu <= 1 + 1e-12
             assert -1e-12 <= pv <= 1 + 1e-12
+
+    def test_oblique_table_does_not_depend_on_the_blas_kernel(self,
+                                                              tmp_path):
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "import numpy as np\n"
+            "from swarmstack import cli\n"
+            "from swarmstack.swarm import RatedPoint\n"
+            "gen = np.random.default_rng(3)\n"
+            "u, w = gen.standard_normal((2, 7))\n"
+            "u /= np.sqrt((u * u).sum())\n"
+            "v = w - (w * u).sum() * u\n"
+            "v /= np.sqrt((v * v).sum())\n"
+            "history = [RatedPoint(x, float(i), i)\n"
+            "           for i, x in enumerate(gen.random((300, 7)))]\n"
+            "cli.export_projections(history, [('oblique', u, v)],\n"
+            "                       Path(sys.argv[1]))\n")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        tables = []
+        for kernel in (None, "Nehalem"):
+            env = dict(os.environ, PYTHONPATH=src)
+            env.pop("OPENBLAS_CORETYPE", None)
+            if kernel:
+                env["OPENBLAS_CORETYPE"] = kernel
+            out = tmp_path / str(kernel)
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                           check=True, timeout=60)
+            tables.append((out / "oblique.tsv").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_non_orthonormal_plane_rejected(self):
         with pytest.raises(ValueError, match="unit length"):

@@ -79,7 +79,8 @@ class TestMinimizeOnLine:
         calls = []
         f = lambda t: t * t
         objective, seg = on_scalar(lambda t: calls.append(1) or t * t)(-1.0, 1.0)
-        res = minimize_on_line(objective, seg, tol=1e-4, eval_cap=60, f0=0.0)
+        res = minimize_on_line(objective, seg, tol=1e-4, eval_cap=60,
+                               known_points=((0.0, 0.0),))
         assert res.f_best <= 0.0
         assert res.evals_used == len(calls)
 

@@ -241,6 +241,16 @@ class TestRunTrial:
         stack, _, _ = sch.run_trial(cfg, h, 0.75, guesses, 2)
         assert stack.best.value <= min(guess_values)
 
+    def test_no_finite_guess_value_is_named(self):
+        h = ObjectiveHandle(lambda x: math.nan, BoundsSpec.unit(2))
+        cfg = small_config(h)
+        message = (r"no guess point had a finite value "
+                   r"\(3 guesses at temperature {}\)")
+        with pytest.raises(ValueError, match=message.format("0.5")):
+            sch.run_trial(cfg, h, 0.5, sch.initial_guesses(2), 0)
+        with pytest.raises(ValueError, match=message.format("1.0")):
+            sch.run_optimization(cfg, h)
+
     def test_stage_records_cover_all_stages(self):
         h = make_benchmark("sphere", 2, bounds_style="offset")
         cfg = small_config(h)

@@ -7,11 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args, cwd):
-    env = dict(os.environ)
+def run_script(name, *args, cwd, env=None):
+    env = dict(os.environ, **(env or {}))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name),
@@ -72,19 +75,19 @@ def test_export_distribution_tables_writes_tsvs(tmp_path):
 # (ROADMAP items 4 and 7) updates them here
 DIGESTS_300 = [
     "twin_valleys-2-seed1 "
-    "49fa0e19acb193369d4f3df55f2467ea93f911d800a40d2e223521efdd71e337",
+    "879f50a76f04e7c22cdc3704781a5b916aa853f00a31a33128dc9f276a579e24",
     "twin_valleys-2-seed7 "
-    "b65cedff0da4a1f6f8fc61c361058055e004ecb9579589cb30346024a2afc80d",
+    "4fcf44277be034f815ca8c396fea5274e71d7b6d37209e37fdd32000ba3b8fa7",
     "rastrigin-11-offset "
-    "98438e2d9a1d6addbb9756e60adc9cf33f5052017537c9c0c921ea0059227db1",
+    "ae6345e8c4382bb37b7880af6b1f9813e960687c7e82736faa353136ed3accaf",
     "ackley-3-threads2 "
-    "b879b9b75179ddf9d04adbdc40e93c291081a9bdc15ebd590c16cfa43a69ea60",
+    "1613f1ea0d1542e151ab1046555fed6649d13d61da6d913f9289dbc6d8ec9785",
     "noisy_rastrigin-4 "
-    "de9c35f4688e920302384ab40e4e0030b568b77b66406bbbfa4ddc6b1dde2bb1",
+    "cf2d64a10af99f8a357f26134539050255695f03478a945d5d91a26fe79dede9",
     "twin_valleys-2-linmin-off "
-    "8c06316c5200a22b2ace62186ed8f566187356f665bd4899c59bc168af7808ec",
+    "5feeb606264939c1da31c9f71aa343988d5db2d9210d796ab45f81661ecbd2cc",
     "sphere-3-external "
-    "bc979bd0e9f95bc19531e6eff70da6b7af1361cba210631a241f7e621e8b4b23",
+    "1cd86b5591cbe01ff0ef6d77b50cd538ff5825f825a49a755e425cbe41e27073",
 ]
 
 
@@ -99,3 +102,23 @@ def test_stack_digest_is_repeatable_and_thread_independent(tmp_path):
                           cwd=tmp_path).stdout
     assert first.splitlines() == DIGESTS_300
     assert first == again == threads1 == threads2
+
+
+# numpy's dispatched SIMD levels that this host has; disabling them all
+# leaves numpy on its baseline
+_SIMD = numpy._core._multiarray_umath
+SIMD_LEVELS = " ".join(f for f in _SIMD.__cpu_dispatch__
+                       if _SIMD.__cpu_features__.get(f))
+
+
+@pytest.mark.parametrize("setting", [
+    ("OPENBLAS_CORETYPE", "Haswell"),
+    ("OPENBLAS_CORETYPE", "Nehalem"),
+    ("NPY_DISABLE_CPU_FEATURES", SIMD_LEVELS),
+], ids=["blas-haswell", "blas-nehalem", "numpy-baseline-simd"])
+def test_stack_digest_does_not_depend_on_the_cpu_kernels(setting, tmp_path):
+    # on a host where a setting changes nothing, this proves less
+    name, value = setting
+    out = run_script("stack_digest.py", "--evals_per_trial", "300",
+                     cwd=tmp_path, env={name: value}).stdout
+    assert out.splitlines() == DIGESTS_300

@@ -409,12 +409,48 @@ class TestProximalMatchesScalarReference:
         assert outcome(S.run_proximal) == outcome(reference_run_proximal)
 
 
+def in_order_cos(u, h):
+    """|cos| summed coordinate by coordinate in Python floats."""
+    total = 0.0
+    for a, b in zip(u.tolist(), h.tolist()):
+        total += a * b
+    return abs(total)
+
+
 class TestStaleFilter:
     def test_marks_only_rows_clear_of_the_tolerance(self):
         u = np.array([0.6, 0.8])
         rows = np.array([u, -u, [0.8, -0.6]])
-        assert S._stale_rows(rows, deque()).tolist() == [False] * 3
-        assert S._stale_rows(rows, deque([u])).tolist() == [True, True, False]
+        tol = S.DIRECTION_COS_TOL
+        assert S._collinear_rows(rows, deque(), tol).tolist() == [False] * 3
+        assert S._collinear_rows(rows, deque([u]), tol).tolist() == [
+            True, True, False]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 11])
+    def test_mask_is_the_in_order_scalar_sum(self, dim):
+        # rows whose |cos| to the history lies within 1e-13 of the
+        # tolerance are marked exactly when the in-order sum reaches it
+        gen = np.random.default_rng(dim)
+        rows = gen.standard_normal((30, dim))
+        rows /= np.sqrt((rows * rows).sum(axis=1))[:, None]
+        history = deque(maxlen=S.DIRECTION_HISTORY_CAPACITY)
+        for k, u in enumerate(rows[:20]):
+            c = S.DIRECTION_COS_TOL + (-1e-13, 0.0, 1e-13)[k % 3]
+            w = np.zeros(dim)
+            if dim > 1:
+                w = gen.standard_normal(dim)
+                w -= (w * u).sum() * u
+                w /= math.sqrt((w * w).sum())
+            else:
+                c = 1.0
+            history.append(c * u + math.sqrt(1.0 - c * c) * w)
+        expected = [any(in_order_cos(u, h) >= S.DIRECTION_COS_TOL
+                        for h in history) for u in rows]
+        assert S._collinear_rows(rows, history,
+                                 S.DIRECTION_COS_TOL).tolist() == expected
+        for u, stale in zip(rows, expected):
+            assert S.direction_is_new(deque(history), u,
+                                      S.DIRECTION_COS_TOL) == (not stale)
 
     def test_history_eviction_frees_a_stale_attractor(self):
         # A flat objective ranks attractors by eval_index and never
@@ -444,13 +480,14 @@ class TestStaleFilter:
         ctx = make_ctx(h, 124, 0.5, capacity=2,
                        guesses=[(0.1, 0.2), (0.9, 0.7)])
         delta = ctx.stack.best.position - ctx.stack.worst.position
-        u = delta / float(np.sqrt(delta @ delta))
+        u = delta / float(np.sqrt((delta * delta).sum()))
         c = S.DIRECTION_COS_TOL + offset
         remembered = c * u + math.sqrt(1.0 - c * c) * np.array([-u[1], u[0]])
-        cos = abs(float(np.dot(u, remembered)))
+        cos = in_order_cos(u, remembered)
         assert abs(cos - S.DIRECTION_COS_TOL) <= 1e-12
         assert (cos < S.DIRECTION_COS_TOL) == accepted
-        assert not S._stale_rows(u[None, :], deque([remembered]))[0]
+        assert S._collinear_rows(u[None, :], deque([remembered]),
+                                 S.DIRECTION_COS_TOL)[0] == (not accepted)
         ctx.direction_history.append(remembered)
         before = ctx.eval_count
         S.run_proximal(ctx, 80)
